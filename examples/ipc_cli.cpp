@@ -410,8 +410,8 @@ std::size_t cache_budget_bytes(const Args& a) {
 }
 
 void print_serve_stats(const net::ServeStats& s) {
-  static const char* kOps[] = {"HELLO", "OPEN",   "PLAN",   "EXECUTE",
-                               "STAT",  "CLOSE",  "RESUME", "unknown"};
+  static const char* kOps[] = {"HELLO", "OPEN",   "EXECUTE", "STAT",
+                               "CLOSE", "RESUME", "unknown"};
   std::cout << "connections : " << s.connections_accepted << " accepted, "
             << s.connections_active << " active, " << s.idle_reaped
             << " idle-reaped, " << s.slow_client_evictions

@@ -60,10 +60,11 @@ namespace {
     case ErrCode::kQuotaExceeded:
       throw QuotaExceeded(e.a(), e.b());
     case ErrCode::kStalePlan:
-    case ErrCode::kUnknownToken:
       throw std::logic_error(e.what());
     case ErrCode::kBadRequest:
       throw std::invalid_argument(e.what());
+    case ErrCode::kPriceDrift:
+      throw std::runtime_error(std::string("remote: ") + e.what());
     default:
       throw e;
   }
@@ -182,27 +183,13 @@ Frame RemoteArchive::expect_reply(Op expect) {
   return std::move(*f);
 }
 
-PlanReply RemoteArchive::plan_remote(std::uint64_t epoch, const Request& req) {
+ExecReply RemoteArchive::execute_remote(const RetrievalPlan& p) {
   ByteWriter w;
   w.u32(open_id_);
-  w.u64(epoch);
-  write_request(w, req);
-  ch_->send(Op::kPlan, w);
-  Frame f = expect_reply(Op::kPlanOk);
-  ByteReader r({f.body.data(), f.body.size()});
-  PlanReply rep;
-  rep.token = r.varint();
-  rep.bytes_new = r.varint();
-  rep.guaranteed_error = r.f64();
-  rep.n_segments = r.varint();
-  rep.epoch = r.varint();
-  return rep;
-}
-
-ExecReply RemoteArchive::execute_remote(std::uint64_t token) {
-  ByteWriter w;
-  w.u32(open_id_);
-  w.varint(token);
+  w.u64(p.epoch);
+  write_request(w, p.request);
+  w.varint(p.bytes_new);
+  w.varint(p.segments.size());
   ch_->send(Op::kExecute, w);
   last_payload_bytes_ = 0;
   while (true) {
@@ -294,32 +281,12 @@ void RemoteArchive::close() {
 // ---- RemoteReader ---------------------------------------------------------
 
 template <typename T>
-std::string RemoteReader<T>::plan_fingerprint(const RetrievalPlan& p) {
-  ByteWriter w;
-  w.varint(p.epoch);
-  write_request(w, p.request);
-  const Bytes b = w.take();
-  return {reinterpret_cast<const char*>(b.data()), b.size()};
-}
-
-template <typename T>
 void RemoteReader<T>::check_poisoned() const {
   if (poisoned_) {
     throw std::logic_error(
         "remote reader is poisoned: a previous execute() diverged from the "
         "server after its session advanced; reconnect with a fresh "
         "RemoteReader");
-  }
-}
-
-template <typename T>
-void RemoteReader<T>::check_plan_reply(const PlanReply& rep,
-                                       const RetrievalPlan& p) {
-  if (rep.bytes_new != p.bytes_new || rep.n_segments != p.segments.size() ||
-      rep.epoch != p.epoch) {
-    throw std::runtime_error(
-        "remote: server plan disagrees with the local mirror (config or "
-        "version drift)");
   }
 }
 
@@ -343,8 +310,6 @@ void RemoteReader<T>::recover_connection() {
     throw std::runtime_error(
         "remote: resumed session epoch disagrees with the local mirror");
   }
-  // Every outstanding token lived in the dead connection's session.
-  tokens_.clear();
   ++recoveries_;
 }
 
@@ -387,38 +352,20 @@ auto RemoteReader<T>::with_recovery(F&& op) -> decltype(op()) {
 template <typename T>
 RetrievalPlan RemoteReader<T>::plan(const Request& req) {
   check_poisoned();
-  RetrievalPlan p = reader_.plan(req);
-  const PlanReply rep =
-      with_recovery([&] { return archive_.plan_remote(p.epoch, req); });
-  check_plan_reply(rep, p);
-  tokens_[plan_fingerprint(p)] = rep.token;
-  return p;
+  return reader_.plan(req);
 }
 
 template <typename T>
 RetrievalStats RemoteReader<T>::execute(const RetrievalPlan& p) {
   check_poisoned();
-  const std::string fp = plan_fingerprint(p);
-  if (tokens_.find(fp) == tokens_.end() && recoveries_ == 0) {
+  if (p.epoch != reader_.epoch()) {
     throw std::logic_error(
-        "execute: plan was not produced by this reader's plan() (or is "
-        "stale)");
+        "execute: stale plan (the reader advanced since it was made)");
   }
-  const ExecReply rep = with_recovery([&] {
-    auto it = tokens_.find(fp);
-    std::uint64_t token;
-    if (it == tokens_.end()) {
-      // A recovery invalidated the reservation; the resumed session holds
-      // the same state the plan priced, so re-reserving must agree.
-      const PlanReply fresh = archive_.plan_remote(p.epoch, p.request);
-      check_plan_reply(fresh, p);
-      tokens_[fp] = fresh.token;
-      token = fresh.token;
-    } else {
-      token = it->second;
-    }
-    return archive_.execute_remote(token);
-  });
+  // A recovery rebuilds the server session at this same epoch, so the
+  // retried EXECUTE is simply the same frame again.
+  const ExecReply rep =
+      with_recovery([&] { return archive_.execute_remote(p); });
   // From here the server session has advanced and its staged payloads are
   // consumed.  If the local mirror cannot follow — the decode throws, or the
   // accounting cross-check fails — the two sides are permanently
@@ -431,8 +378,6 @@ RetrievalStats RemoteReader<T>::execute(const RetrievalPlan& p) {
       throw std::runtime_error(
           "remote: execution accounting disagrees with the server");
     }
-    // The reader advanced; every outstanding token priced the old state.
-    tokens_.clear();
     // Acknowledged on both ends: this request is now part of the state a
     // RESUME replay must rebuild.
     history_.push_back(p.request);

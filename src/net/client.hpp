@@ -4,12 +4,13 @@
 // over a daemon connection.  The trick that keeps it byte-identical to a
 // local reader: the client runs its *own* ProgressiveReader over a
 // StagedSource primed from the OPEN reply (header bytes, segment table,
-// open cost), so plan() prices locally with exactly the server's arithmetic;
-// PLAN round-trips only to reserve a server-side token and cross-check the
-// price.  EXECUTE streams the still-compressed segment payloads into the
-// staging area and the local reader decodes them — so a refinement moves
-// only the plan's bytes_new across the wire, never re-sending what the
-// client already holds.
+// open cost), so plan() prices locally with exactly the server's arithmetic
+// and sends nothing.  EXECUTE carries the request with the plan's epoch and
+// price; the server re-plans it, streams the still-compressed segment
+// payloads into the staging area only if both sides agree, and the local
+// reader decodes them — so a refinement costs one round trip and moves only
+// the plan's bytes_new across the wire, never re-sending what the client
+// already holds.
 //
 // Self-healing: transient wire failures (connection reset, I/O error,
 // timeout, a checksum-rejected SEGMENT frame) are recovered transparently
@@ -94,15 +95,6 @@ class StagedSource final : public SegmentSource {
   std::unordered_map<std::uint64_t, Bytes> staged_;
 };
 
-/// PLAN_OK payload: the server-side reservation for one plan.
-struct PlanReply {
-  std::uint64_t token = 0;
-  std::uint64_t bytes_new = 0;
-  double guaranteed_error = 0.0;
-  std::uint64_t n_segments = 0;
-  std::uint64_t epoch = 0;
-};
-
 /// EXECUTE_OK payload: the stats the server's session recorded.
 struct ExecReply {
   std::uint64_t bytes_new = 0;
@@ -120,8 +112,8 @@ struct ResumeReply {
 /// One dialed connection with one archive OPENed on it.  Speaks raw frames;
 /// RemoteReader<T> supplies the reader lifecycle on top.  Server ERROR
 /// frames surface as typed exceptions: kQuotaExceeded -> QuotaExceeded,
-/// kStalePlan/kUnknownToken -> std::logic_error, kBadRequest ->
-/// std::invalid_argument, anything else -> RemoteError.
+/// kStalePlan -> std::logic_error, kBadRequest -> std::invalid_argument,
+/// kPriceDrift -> std::runtime_error, anything else -> RemoteError.
 class RemoteArchive {
  public:
   /// Dial `spec` ("host:port" or "unix:/path"), HELLO, and OPEN `name`.
@@ -133,11 +125,11 @@ class RemoteArchive {
   /// The wire-primed source the local mirror reader plugs into.
   StagedSource& source() { return src_; }
 
-  PlanReply plan_remote(std::uint64_t epoch, const Request& req);
-  /// Streams the token's segment payloads into source()'s staging area,
+  /// Sends `p`'s request with its epoch and price; the server re-plans it
+  /// and streams the segment payloads into source()'s staging area,
   /// verifying each against the OPEN checksum column (throws IntegrityError
   /// at the wire layer on mismatch, before staging).
-  ExecReply execute_remote(std::uint64_t token);
+  ExecReply execute_remote(const RetrievalPlan& p);
   ServeStats stat();
   /// CLOSE the archive and say goodbye; the connection drops.
   void close();
@@ -223,11 +215,13 @@ class RemoteReader {
   RemoteReader(const RemoteReader&) = delete;
   RemoteReader& operator=(const RemoteReader&) = delete;
 
-  /// Price `req` locally (exact, no I/O beyond the PLAN round-trip) and
-  /// reserve the matching server-side token.  Throws std::runtime_error if
-  /// the server's price disagrees with the local mirror — protocol drift.
+  /// Price `req` locally: the mirror reader's own plan, no frame sent.
   RetrievalPlan plan(const Request& req);
-  /// Pull the plan's segments over the wire and decode them locally.
+  /// Pull the plan's segments over the wire (one EXECUTE round trip) and
+  /// decode them locally.  A plan from an earlier epoch throws
+  /// std::logic_error before any frame is sent; a server whose price
+  /// disagrees with the local mirror (protocol drift) throws
+  /// std::runtime_error and leaves both sides untouched.
   ///
   /// Failure after the server replied EXECUTE_OK (the local decode throws,
   /// or the accounting cross-check fails) leaves the server session one
@@ -249,21 +243,16 @@ class RemoteReader {
   std::uint64_t retries() const { return retries_; }
 
  private:
-  /// Identity of a plan at the current epoch, for token lookup at execute.
-  static std::string plan_fingerprint(const RetrievalPlan& p);
   /// Throws std::logic_error once a server/mirror divergence poisoned the
   /// reader (see execute()).
   void check_poisoned() const;
-  /// Cross-check a PLAN_OK reservation against the local mirror's plan.
-  static void check_plan_reply(const PlanReply& rep, const RetrievalPlan& p);
   /// Run `op` with the retry policy: recoverable failures (non-protocol
   /// WireError, wire-layer IntegrityError) trigger backoff + one recovery
   /// cycle, then retry; anything else — and the last exhausted attempt —
   /// propagates.
   template <typename F>
   auto with_recovery(F&& op) -> decltype(op());
-  /// One recovery cycle: reconnect, RESUME the acknowledged history, drop
-  /// now-dead plan tokens.
+  /// One recovery cycle: reconnect, then RESUME the acknowledged history.
   void recover_connection();
   void backoff(int attempt);
 
@@ -271,7 +260,6 @@ class RemoteReader {
   ProgressiveReader<T> reader_;
   RetryPolicy policy_;
   Rng jitter_;
-  std::unordered_map<std::string, std::uint64_t> tokens_;
   /// Acknowledged requests in execution order — what RESUME replays.
   std::vector<Request> history_;
   std::uint64_t recoveries_ = 0;

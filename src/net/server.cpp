@@ -70,16 +70,14 @@ std::unique_ptr<SessionAny> make_session(std::shared_ptr<ArchiveHandle> handle,
   return std::make_unique<SessionOf<double>>(std::move(handle), quota);
 }
 
-/// How many un-executed plan tokens one (connection, archive) retains; all
-/// tokens die on the next EXECUTE anyway (the epoch advances), so this only
-/// bounds a client that plans forever without executing.
-constexpr std::size_t kMaxTokens = 64;
+/// An EXECUTE reply leaves in writes of about this size: large enough that a
+/// refinement costs a few syscalls, small enough to bound the batch buffer
+/// and keep the client's socket draining.
+constexpr std::size_t kReplyBatchBytes = std::size_t{256} << 10;
 
 struct OpenState {
   std::shared_ptr<ArchiveHandle> handle;
   std::unique_ptr<SessionAny> session;
-  std::map<std::uint64_t, RetrievalPlan> tokens;
-  std::uint64_t next_token = 1;
 };
 
 /// Registers a live connection's socket for forced shutdown during drain;
@@ -423,10 +421,12 @@ bool Server::handle_frame(FrameChannel& ch, ConnState& st, const Frame& f) {
       return true;
     }
 
-    case Op::kPlan: {
+    case Op::kExecute: {
       const std::uint32_t open_id = r.u32();
       const std::uint64_t epoch = r.u64();
       const Request req = read_request(r);
+      const std::uint64_t bytes_new = r.varint();
+      const std::uint64_t n_segments = r.varint();
       require_end();
       auto it = st.opens.find(open_id);
       if (it == st.opens.end()) {
@@ -440,6 +440,8 @@ bool Server::handle_frame(FrameChannel& ch, ConnState& st, const Frame& f) {
                    os.session->epoch(), epoch);
         return true;
       }
+      // Plan in place with the client's arithmetic; stream only when both
+      // sides priced the same plan.
       RetrievalPlan plan;
       try {
         plan = os.session->plan(req);
@@ -447,36 +449,13 @@ bool Server::handle_frame(FrameChannel& ch, ConnState& st, const Frame& f) {
         send_error(ch, ErrCode::kBadRequest, e.what());
         return true;
       }
-      const std::uint64_t token = os.next_token++;
-      if (os.tokens.size() >= kMaxTokens) os.tokens.erase(os.tokens.begin());
-      ByteWriter w;
-      w.varint(token);
-      w.varint(plan.bytes_new);
-      w.f64(plan.guaranteed_error);
-      w.varint(plan.segments.size());
-      w.varint(plan.epoch);
-      os.tokens.emplace(token, std::move(plan));
-      send_frame(ch, Op::kPlanOk, w);
-      return true;
-    }
-
-    case Op::kExecute: {
-      const std::uint32_t open_id = r.u32();
-      const std::uint64_t token = r.varint();
-      require_end();
-      auto it = st.opens.find(open_id);
-      if (it == st.opens.end()) {
-        send_error(ch, ErrCode::kBadSequence, "unknown open id", open_id);
+      if (plan.bytes_new != bytes_new || plan.segments.size() != n_segments) {
+        send_error(ch, ErrCode::kPriceDrift,
+                   "server plan disagrees with the client's price (config or "
+                   "version drift)",
+                   plan.bytes_new, bytes_new);
         return true;
       }
-      OpenState& os = it->second;
-      auto tok = os.tokens.find(token);
-      if (tok == os.tokens.end()) {
-        send_error(ch, ErrCode::kUnknownToken,
-                   "unknown or expired plan token", token);
-        return true;
-      }
-      const RetrievalPlan& plan = tok->second;
       RetrievalStats stats;
       std::vector<Bytes> payloads;
       try {
@@ -493,23 +472,34 @@ bool Server::handle_frame(FrameChannel& ch, ConnState& st, const Frame& f) {
         send_error(ch, ErrCode::kInternal, e.what());
         return true;
       }
+      // The reply stream goes out in batches; counters move as each batch
+      // reaches the socket, exactly as they would frame by frame.
+      std::uint64_t frames = 0;
+      std::uint64_t payload_bytes = 0;
+      const auto flush = [&] {
+        ch.flush();
+        counters_->frames_out.fetch_add(frames, std::memory_order_relaxed);
+        counters_->payload_bytes_sent.fetch_add(payload_bytes,
+                                                std::memory_order_relaxed);
+        frames = payload_bytes = 0;
+      };
       const std::uint32_t ver = os.handle->version();
       for (std::size_t i = 0; i < plan.segments.size(); ++i) {
-        ByteWriter w;
-        w.u64(plan.segments[i].key(ver));
-        w.bytes({payloads[i].data(), payloads[i].size()});
-        send_frame(ch, Op::kSegment, w);
-        counters_->payload_bytes_sent.fetch_add(payloads[i].size(),
-                                                std::memory_order_relaxed);
+        ByteWriter key;
+        key.u64(plan.segments[i].key(ver));
+        ch.queue(Op::kSegment, {key.buffer(), payloads[i]});
+        ++frames;
+        payload_bytes += payloads[i].size();
+        if (ch.queued() >= kReplyBatchBytes) flush();
       }
       ByteWriter w;
       w.varint(stats.bytes_new);
       w.varint(stats.bytes_total);
       w.f64(stats.guaranteed_error);
       w.f64(stats.bitrate);
-      // The session advanced: every outstanding token priced the old state.
-      os.tokens.clear();
-      send_frame(ch, Op::kExecuteOk, w);
+      ch.queue(Op::kExecuteOk, {w.buffer()});
+      ++frames;
+      flush();
       return true;
     }
 
@@ -558,7 +548,6 @@ bool Server::handle_frame(FrameChannel& ch, ConnState& st, const Frame& f) {
         return true;
       }
       os.session = std::move(fresh);
-      os.tokens.clear();  // reservations priced the replaced session
       ByteWriter w;
       w.varint(os.session->epoch());
       w.varint(os.session->bytes_used());

@@ -6,11 +6,12 @@
 // ArchiveSet tier, so everything the in-process serving layer provides —
 // plan-admission byte quotas, the cross-archive segment LRU cache, pooled
 // deduplicated physical reads — applies to remote clients identically.  The
-// server never decodes: EXECUTE fetches the planned segments through the
-// session's cache-first source, streams the still-compressed payloads to the
-// client, and acknowledges the plan so the session's residency (and
-// therefore the *next* plan's pricing) advances exactly as if the client
-// were local.
+// server never decodes: EXECUTE plans the client's request against the
+// session, checks the client's epoch and price, fetches the planned segments
+// through the session's cache-first source, streams the still-compressed
+// payloads to the client in batched writes, and acknowledges the plan so the
+// session's residency (and therefore the *next* plan's pricing) advances
+// exactly as if the client were local.
 //
 // Archives are exported by name (export_file / export_memory) before
 // start(); OPEN resolves only exported names — a remote peer can never name

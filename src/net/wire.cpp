@@ -60,6 +60,23 @@ std::string compose_wire_message(const std::string& op, int sys_errno,
   return out;
 }
 
+void set_option(const Socket& sock, int level, int opt, const char* name,
+                const void* value, socklen_t len) {
+  if (::setsockopt(sock.fd(), level, opt, value, len) != 0) {
+    const int saved = errno;
+    throw WireError(WireError::Kind::kIo, std::string("setsockopt ") + name,
+                    saved, peer_name(sock));
+  }
+}
+
+/// Request/reply traffic is latency-bound: without TCP_NODELAY a small
+/// frame written behind unacknowledged data sits in Nagle's buffer until
+/// the peer's delayed ACK fires.
+void set_nodelay(const Socket& sock) {
+  const int one = 1;
+  set_option(sock, IPPROTO_TCP, TCP_NODELAY, "TCP_NODELAY", &one, sizeof one);
+}
+
 sockaddr_un make_unix_addr(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -139,14 +156,14 @@ void Socket::shutdown_both() {
 }
 
 void Socket::set_timeouts(int recv_ms, int send_ms) {
-  auto set = [&](int opt, int ms) {
+  auto set = [&](int opt, const char* name, int ms) {
     timeval tv{};
     tv.tv_sec = ms / 1000;
     tv.tv_usec = static_cast<decltype(tv.tv_usec)>((ms % 1000) * 1000);
-    ::setsockopt(fd_, SOL_SOCKET, opt, &tv, sizeof tv);
+    set_option(*this, SOL_SOCKET, opt, name, &tv, sizeof tv);
   };
-  set(SO_RCVTIMEO, recv_ms);
-  set(SO_SNDTIMEO, send_ms);
+  set(SO_RCVTIMEO, "SO_RCVTIMEO", recv_ms);
+  set(SO_SNDTIMEO, "SO_SNDTIMEO", send_ms);
 }
 
 Socket dial(const std::string& spec) {
@@ -162,6 +179,7 @@ Socket dial(const std::string& spec) {
     rc = ::connect(s.fd(), reinterpret_cast<const sockaddr*>(&sa), sizeof sa);
   }
   if (rc != 0) throw_errno(WireError::Kind::kIo, "connect to " + spec);
+  if (!addr.unix_domain) set_nodelay(s);
   return s;
 }
 
@@ -175,7 +193,7 @@ Listener::Listener(const std::string& spec, int backlog)
     rc = ::bind(fd_.fd(), reinterpret_cast<const sockaddr*>(&sa), sizeof sa);
   } else {
     const int one = 1;
-    ::setsockopt(fd_.fd(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    set_option(fd_, SOL_SOCKET, SO_REUSEADDR, "SO_REUSEADDR", &one, sizeof one);
     const sockaddr_in sa = make_inet_addr(addr_.host_or_path, addr_.port);
     rc = ::bind(fd_.fd(), reinterpret_cast<const sockaddr*>(&sa), sizeof sa);
   }
@@ -236,6 +254,7 @@ std::optional<Socket> Listener::accept(int timeout_ms) {
     }
     throw_errno(WireError::Kind::kIo, "accept");
   }
+  if (!addr_.unix_domain) set_nodelay(s);
   return s;
 }
 
@@ -249,84 +268,97 @@ FrameChannel::FrameChannel(Socket sock, std::size_t max_frame)
     : sock_(std::move(sock)), max_frame_(max_frame), peer_(peer_name(sock_)) {}
 
 void FrameChannel::send(Op op, std::span<const std::uint8_t> body) {
-  if (body.size() + 1 > kMaxFrameBytes) {
+  queue(op, {body});
+  flush();
+}
+
+void FrameChannel::queue(
+    Op op, std::initializer_list<std::span<const std::uint8_t>> parts) {
+  std::size_t len = 1;  // the opcode byte
+  for (const auto& part : parts) len += part.size();
+  if (len > kMaxFrameBytes) {
     throw WireError(WireError::Kind::kProtocol, "frame too large to send");
   }
-  ByteWriter head;
-  head.u32(static_cast<std::uint32_t>(body.size() + 1));
-  head.u8(static_cast<std::uint8_t>(op));
-  auto send_all = [&](const std::uint8_t* data, std::size_t len) {
-    while (len > 0) {
-      std::size_t want = len;
-      if (faults_) {
-        if (faults_->drop(FaultOp::kWrite)) {
-          sock_.shutdown_both();
-          throw WireError(WireError::Kind::kIo, "send (injected reset)",
-                          ECONNRESET, peer_);
-        }
-        want = faults_->clamp(FaultOp::kWrite, len);
-        if (want == 0) continue;  // injected EINTR: retry like the real one
+  for (int shift = 0; shift < 32; shift += 8) {
+    batch_.push_back(static_cast<std::uint8_t>(len >> shift));
+  }
+  batch_.push_back(static_cast<std::uint8_t>(op));
+  for (const auto& part : parts) {
+    batch_.insert(batch_.end(), part.begin(), part.end());
+  }
+}
+
+void FrameChannel::flush() {
+  const std::uint8_t* data = batch_.data();
+  std::size_t left = batch_.size();
+  while (left > 0) {
+    std::size_t want = left;
+    if (faults_) {
+      if (faults_->drop(FaultOp::kWrite)) {
+        sock_.shutdown_both();
+        throw WireError(WireError::Kind::kIo, "send (injected reset)",
+                        ECONNRESET, peer_);
       }
-      const ssize_t n = ::send(sock_.fd(), data, want, MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-          throw WireError(WireError::Kind::kTimeout, "send timed out", errno,
-                          peer_);
-        }
-        throw WireError(WireError::Kind::kIo, "send", errno, peer_);
-      }
-      data += n;
-      len -= static_cast<std::size_t>(n);
-      bytes_out_ += static_cast<std::uint64_t>(n);
+      want = faults_->clamp(FaultOp::kWrite, left);
+      if (want == 0) continue;  // injected EINTR: retry like the real one
     }
-  };
-  send_all(head.buffer().data(), head.buffer().size());
-  send_all(body.data(), body.size());
+    const ssize_t n = ::send(sock_.fd(), data, want, MSG_NOSIGNAL);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        throw WireError(WireError::Kind::kTimeout, "send timed out", errno,
+                        peer_);
+      }
+      throw WireError(WireError::Kind::kIo, "send", errno, peer_);
+    }
+    data += n;
+    left -= static_cast<std::size_t>(n);
+    bytes_out_ += static_cast<std::uint64_t>(n);
+  }
+  batch_.clear();
+  // One huge segment must not pin its buffer for the connection's lifetime.
+  if (batch_.capacity() > (std::size_t{4} << 20)) Bytes().swap(batch_);
+}
+
+bool FrameChannel::read_all(std::uint8_t* data, std::size_t len, bool eof_ok) {
+  std::size_t got = 0;
+  while (got < len) {
+    std::size_t want = len - got;
+    if (faults_) {
+      if (faults_->drop(FaultOp::kRead)) {
+        sock_.shutdown_both();
+        throw WireError(WireError::Kind::kClosed, "recv (injected reset)",
+                        ECONNRESET, peer_);
+      }
+      want = faults_->clamp(FaultOp::kRead, want);
+      if (want == 0) continue;  // injected EINTR: retry like the real one
+    }
+    const ssize_t n = ::recv(sock_.fd(), data + got, want, 0);
+    if (n == 0) {
+      if (eof_ok && got == 0) return false;
+      throw WireError(WireError::Kind::kClosed, "recv: peer closed mid-frame",
+                      0, peer_);
+    }
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        throw WireError(WireError::Kind::kTimeout, "recv timed out", errno,
+                        peer_);
+      }
+      throw WireError(WireError::Kind::kIo, "recv", errno, peer_);
+    }
+    if (faults_) {
+      faults_->corrupt(FaultOp::kRead, data + got, static_cast<std::size_t>(n));
+    }
+    got += static_cast<std::size_t>(n);
+    bytes_in_ += static_cast<std::uint64_t>(n);
+  }
+  return true;
 }
 
 std::optional<Frame> FrameChannel::recv() {
-  // `eof_ok` is true only at the frame boundary: EOF there is a clean
-  // disconnect, EOF anywhere later is a truncated frame.
-  auto recv_all = [&](std::uint8_t* data, std::size_t len, bool eof_ok) {
-    std::size_t got = 0;
-    while (got < len) {
-      std::size_t want = len - got;
-      if (faults_) {
-        if (faults_->drop(FaultOp::kRead)) {
-          sock_.shutdown_both();
-          throw WireError(WireError::Kind::kClosed, "recv (injected reset)",
-                          ECONNRESET, peer_);
-        }
-        want = faults_->clamp(FaultOp::kRead, want);
-        if (want == 0) continue;  // injected EINTR: retry like the real one
-      }
-      const ssize_t n = ::recv(sock_.fd(), data + got, want, 0);
-      if (n == 0) {
-        if (eof_ok && got == 0) return false;
-        throw WireError(WireError::Kind::kClosed, "recv: peer closed mid-frame",
-                        0, peer_);
-      }
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          throw WireError(WireError::Kind::kTimeout, "recv timed out", errno,
-                          peer_);
-        }
-        throw WireError(WireError::Kind::kIo, "recv", errno, peer_);
-      }
-      if (faults_) {
-        faults_->corrupt(FaultOp::kRead, data + got,
-                         static_cast<std::size_t>(n));
-      }
-      got += static_cast<std::size_t>(n);
-      bytes_in_ += static_cast<std::uint64_t>(n);
-    }
-    return true;
-  };
-
-  std::uint8_t head[4];
-  if (!recv_all(head, sizeof head, /*eof_ok=*/true)) return std::nullopt;
+  std::uint8_t head[5] = {};  // u32 length | u8 opcode
+  if (!read_all(head, sizeof head, /*eof_ok=*/true)) return std::nullopt;
   const std::uint32_t len = static_cast<std::uint32_t>(head[0]) |
                             static_cast<std::uint32_t>(head[1]) << 8 |
                             static_cast<std::uint32_t>(head[2]) << 16 |
@@ -338,10 +370,9 @@ std::optional<Frame> FrameChannel::recv() {
                     "bad frame length " + std::to_string(len));
   }
   Frame f;
-  Bytes buf(len);
-  recv_all(buf.data(), buf.size(), /*eof_ok=*/false);
-  f.op = buf[0];
-  f.body.assign(buf.begin() + 1, buf.end());
+  f.op = head[4];
+  f.body.resize(len - 1);
+  read_all(f.body.data(), f.body.size(), /*eof_ok=*/false);
   return f;
 }
 

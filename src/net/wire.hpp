@@ -12,10 +12,12 @@
 //   HELLO(version)        -> HELLO_OK(version)      must be the first frame
 //   OPEN(name)            -> OPEN_OK(open_id, archive version/size/open
 //                            cost, header bytes, segment table)
-//   PLAN(open_id, epoch,  -> PLAN_OK(token, bytes_new, guaranteed_error,
-//        Request)            n_segments, epoch)
 //   EXECUTE(open_id,      -> SEGMENT(key, payload) ... per planned segment,
-//           token)           then EXECUTE_OK(stats)
+//           epoch,           then EXECUTE_OK(stats).  The server plans the
+//           Request,         request itself and streams only when the epoch
+//           bytes_new,       matches its session (else STALE_PLAN) and its
+//           n_segments)      price matches the client's (else PRICE_DRIFT):
+//                            one round trip per refinement
 //   RESUME(open_id, n,    -> RESUME_OK(epoch, bytes_used)  replays a prior
 //          Request x n)      session's executed requests against a fresh
 //                            session WITHOUT streaming payloads — the
@@ -26,6 +28,10 @@
 //   anything invalid      -> ERROR(code, message, a, b)
 //
 // The transport is TCP ("host:port") or a Unix-domain socket ("unix:/path").
+// Every frame leaves in one write (header and body in one buffer), a reply
+// stream in a few batched writes, and TCP sockets run with
+// TCP_NODELAY — so no request/reply exchange waits on Nagle plus a delayed
+// ACK.
 // Socket/Listener/FrameChannel are thin RAII wrappers over POSIX sockets —
 // the only place in the tree allowed to touch them (scripts/check.sh
 // confines socket headers to src/net/).
@@ -36,7 +42,9 @@
 // connection).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -54,7 +62,9 @@ namespace ipcomp::net {
 /// Protocol version exchanged in HELLO; bumped on any incompatible change.
 /// v2: OPEN_OK gained the segment-checksum column, RESUME was added, and
 /// STAT_OK grew the fault-tolerance counters.
-inline constexpr std::uint32_t kWireVersion = 2;
+/// v3: PLAN/PLAN_OK and plan tokens are gone; EXECUTE carries the epoch, the
+/// Request and the client's price, and the server plans it in place.
+inline constexpr std::uint32_t kWireVersion = 3;
 
 /// Hard cap on a frame a *client* accepts: segment payloads ride in single
 /// frames, so this bounds the largest single segment (256 MiB is far above
@@ -75,7 +85,7 @@ enum class Op : std::uint8_t {
   // Client -> server.
   kHello = 0x01,
   kOpen = 0x02,
-  kPlan = 0x03,
+  // 0x03 was v2's PLAN; a v3 server answers it with UNKNOWN_OPCODE.
   kExecute = 0x04,
   kStat = 0x05,
   kClose = 0x06,
@@ -83,7 +93,6 @@ enum class Op : std::uint8_t {
   // Server -> client.
   kHelloOk = 0x81,
   kOpenOk = 0x82,
-  kPlanOk = 0x83,
   kSegment = 0x84,
   kExecuteOk = 0x85,
   kStatOk = 0x86,
@@ -92,16 +101,21 @@ enum class Op : std::uint8_t {
   kError = 0xFF,
 };
 
-/// Number of request opcodes (kHello..kResume are contiguous from 0x01).
-inline constexpr std::size_t kRequestOpCount = 7;
+/// Request opcodes in stats-slot order (ServeStats::frames_by_opcode).
+inline constexpr std::array<Op, 6> kRequestOps = {
+    Op::kHello, Op::kOpen, Op::kExecute, Op::kStat, Op::kClose, Op::kResume};
+inline constexpr std::size_t kRequestOpCount = kRequestOps.size();
 /// Most executed requests one RESUME may replay; a longer history cannot be
 /// resumed (the client falls back to failing fast) and a forged count cannot
 /// drive server-side work.
 inline constexpr std::size_t kMaxResumeRequests = 1024;
-/// Stats slot for a raw request opcode: 0..kRequestOpCount-1 per opcode,
-/// kRequestOpCount for anything unknown.
+/// Stats slot for a raw request opcode: its index in kRequestOps,
+/// kRequestOpCount for anything unknown (the retired PLAN included).
 inline std::size_t op_slot(std::uint8_t raw) {
-  return raw >= 1 && raw <= kRequestOpCount ? raw - 1 : kRequestOpCount;
+  for (std::size_t i = 0; i < kRequestOpCount; ++i) {
+    if (raw == static_cast<std::uint8_t>(kRequestOps[i])) return i;
+  }
+  return kRequestOpCount;
 }
 
 enum class ErrCode : std::uint16_t {
@@ -111,11 +125,13 @@ enum class ErrCode : std::uint16_t {
   kUnknownOpcode = 4,  // opcode the server does not speak (connection stays)
   kUnknownArchive = 5, // OPEN of a name the server does not export
   kBadRequest = 6,     // Request that fails validation (e.g. bad region)
-  kStalePlan = 7,      // PLAN/EXECUTE epoch does not match the session
-  kUnknownToken = 8,   // EXECUTE of a token the server no longer holds
+  kStalePlan = 7,      // EXECUTE epoch does not match the session
+  // 8 was v2's unknown-token error; retired with the tokens, never reused.
   kQuotaExceeded = 9,  // plan admission failed; a = needed, b = remaining
   kTooManyArchives = 10,  // per-connection open limit reached
   kInternal = 11,      // I/O or other server-side failure
+  kPriceDrift = 12,    // EXECUTE price disagrees with the server's plan;
+                       // a = server bytes_new, b = client bytes_new
 };
 
 /// One received frame: opcode byte (possibly unknown) + body bytes.
@@ -211,14 +227,17 @@ class Socket {
   /// Half-close both directions without releasing the descriptor: any
   /// blocked recv on another thread returns immediately (drain/reap path).
   void shutdown_both();
-  /// 0 disables the corresponding timeout.
+  /// 0 disables the corresponding timeout.  Throws WireError(kIo) when the
+  /// kernel refuses either option: a socket silently left without its
+  /// timeouts is how a handler hangs.
   void set_timeouts(int recv_ms, int send_ms);
 
  private:
   int fd_ = -1;
 };
 
-/// Connect to `spec` ("host:port" or "unix:/path").  Throws on failure.
+/// Connect to `spec` ("host:port" or "unix:/path").  TCP connections get
+/// TCP_NODELAY.  Throws on failure.
 Socket dial(const std::string& spec);
 
 /// Bound + listening server socket.
@@ -230,7 +249,8 @@ class Listener {
   Listener& operator=(const Listener&) = delete;
 
   /// Accept one connection, waiting at most `timeout_ms`; std::nullopt on
-  /// timeout (acceptor loops poll their stop flag between waits).
+  /// timeout (acceptor loops poll their stop flag between waits).  Accepted
+  /// TCP connections get TCP_NODELAY.
   std::optional<Socket> accept(int timeout_ms);
 
   /// The dialable address — for TCP with port 0 this reports the port the
@@ -253,14 +273,29 @@ class FrameChannel {
  public:
   FrameChannel(Socket sock, std::size_t max_frame);
 
-  /// Send one frame (blocking, complete).  Throws WireError on failure.
+  /// Send one frame (blocking, complete) as one contiguous write, behind
+  /// anything queue()d: a request never leaves as a small header segment
+  /// waiting on the peer's ACK.  Throws WireError on failure.
   void send(Op op, std::span<const std::uint8_t> body);
   void send(Op op, const ByteWriter& w) { send(op, {w.buffer().data(), w.buffer().size()}); }
 
-  /// Receive one frame.  std::nullopt on clean EOF at a frame boundary;
-  /// WireError(kTimeout) when the socket's receive timeout expires,
-  /// WireError(kProtocol) on a zero/oversized length, WireError(kClosed) on
-  /// EOF mid-frame.
+  /// Append one frame, whose body is the concatenation of `parts`, to the
+  /// outgoing batch; nothing reaches the socket until flush().  A reply
+  /// stream queues its frames and flushes every few hundred KiB, paying a
+  /// few large writes instead of one syscall per frame.
+  void queue(Op op, std::initializer_list<std::span<const std::uint8_t>> parts);
+  /// Bytes queued since the last flush().
+  std::size_t queued() const { return batch_.size(); }
+  /// Write every queued frame (blocking, complete): the one raw-write path,
+  /// resuming short writes and EINTR, consulting the fault injector once
+  /// per attempt.
+  void flush();
+
+  /// Receive one frame: the 4-byte length and the opcode in one read, then
+  /// the body straight into Frame::body.  std::nullopt on clean EOF at a
+  /// frame boundary; WireError(kTimeout) when the socket's receive timeout
+  /// expires, WireError(kProtocol) on a zero/oversized length,
+  /// WireError(kClosed) on EOF mid-frame.
   std::optional<Frame> recv();
 
   /// Install a fault injector consulted around every raw socket I/O
@@ -278,10 +313,15 @@ class FrameChannel {
   std::uint64_t bytes_out() const { return bytes_out_; }
 
  private:
+  /// Reads exactly `len` bytes; false only on EOF before the first byte when
+  /// `eof_ok` (a clean disconnect at a frame boundary).
+  bool read_all(std::uint8_t* data, std::size_t len, bool eof_ok);
+
   Socket sock_;
   std::size_t max_frame_;
   std::string peer_;
   std::shared_ptr<FaultInjector> faults_;
+  Bytes batch_;
   std::uint64_t bytes_in_ = 0;
   std::uint64_t bytes_out_ = 0;
 };
@@ -300,8 +340,8 @@ struct ServeStats {
   std::uint64_t idle_reaped = 0;
   std::uint64_t frames_in = 0;
   std::uint64_t frames_out = 0;
-  /// Per request opcode (op_slot order: HELLO, OPEN, PLAN, EXECUTE, STAT,
-  /// CLOSE, RESUME, unknown).
+  /// Per request opcode (op_slot order: HELLO, OPEN, EXECUTE, STAT, CLOSE,
+  /// RESUME, unknown).
   std::vector<std::uint64_t> frames_by_opcode =
       std::vector<std::uint64_t>(kRequestOpCount + 1, 0);
   std::uint64_t wire_bytes_in = 0;

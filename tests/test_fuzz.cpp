@@ -296,10 +296,10 @@ TEST_P(ForgedFrames, GarbageTruncatedOversizedFramesNeverCrashTheServer) {
     hello_body = w.take();
   }
 
-  for (int trial = 0; trial < 16; ++trial) {
+  for (int trial = 0; trial < 18; ++trial) {
     net::Socket sock = net::dial(addr);
     sock.set_timeouts(/*recv_ms=*/300, /*send_ms=*/300);
-    switch (trial % 8) {
+    switch (trial % 9) {
       case 0: {  // pure garbage, never a valid length prefix in sight
         Bytes garbage(1 + rng.uniform_u64(512));
         for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.next_u64());
@@ -339,12 +339,34 @@ TEST_P(ForgedFrames, GarbageTruncatedOversizedFramesNeverCrashTheServer) {
         send_raw(sock, wire_frame(0x7E, body));
         break;
       }
-      case 6: {  // valid HELLO, then a PLAN whose body is random garbage
+      case 6: {  // valid HELLO, then an EXECUTE whose body is random garbage
         send_raw(sock, wire_frame(0x01, hello_body));
         Bytes body(1 + rng.uniform_u64(64));
         for (auto& b : body) b = static_cast<std::uint8_t>(rng.next_u64());
-        send_raw(sock, wire_frame(0x03, body));
+        send_raw(sock, wire_frame(0x04, body));
         break;
+      }
+      case 7: {
+        // Valid HELLO, then a v2 PLAN: a retired opcode, not a frame error —
+        // UNKNOWN_OPCODE, and the connection stays usable.
+        net::FrameChannel ch(std::move(sock), net::kMaxFrameBytes);
+        ch.send(net::Op::kHello, hello_body);
+        std::optional<net::Frame> f = ch.recv();
+        ASSERT_TRUE(f.has_value() && f->is(net::Op::kHelloOk));
+        ByteWriter plan;
+        plan.u32(1);  // open_id
+        plan.u64(0);  // epoch
+        net::write_request(plan, Request::full());
+        ch.send(static_cast<net::Op>(0x03), plan);
+        f = ch.recv();
+        ASSERT_TRUE(f.has_value() && f->is(net::Op::kError));
+        ByteReader r({f->body.data(), f->body.size()});
+        EXPECT_EQ(net::read_error(r).code(), net::ErrCode::kUnknownOpcode);
+        ch.send(net::Op::kStat, Bytes{});
+        f = ch.recv();
+        ASSERT_TRUE(f.has_value() && f->is(net::Op::kStatOk));
+        ch.socket().shutdown_both();
+        continue;
       }
       default: {  // valid HELLO, then a frame-sized bite of a real archive
         send_raw(sock, wire_frame(0x01, hello_body));

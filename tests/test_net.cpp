@@ -8,6 +8,9 @@
 // exercise) — and the multi-client stress the tsan preset runs against one
 // live daemon.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <cstddef>
@@ -324,7 +327,13 @@ TEST(Net, QuotaRejectedOverTheWire) {
   server.stop();
 }
 
-TEST(Net, TypedErrorsForUnknownArchiveStalePlanUnknownToken) {
+/// EXECUTE frames the server has counted so far (STAT itself is not one).
+std::uint64_t executes_seen(net::RemoteReader<double>& remote) {
+  return remote.archive().stat().frames_by_opcode[net::op_slot(
+      static_cast<std::uint8_t>(net::Op::kExecute))];
+}
+
+TEST(Net, TypedErrorsForUnknownArchiveStalePlanPriceDrift) {
   auto field = smooth_field(Dims{12, 10, 8}, 86, 0.05);
   net::Server server;
   server.export_memory("a", make_archive(field, 1e-5, 4));
@@ -338,19 +347,37 @@ TEST(Net, TypedErrorsForUnknownArchiveStalePlanUnknownToken) {
     EXPECT_EQ(e.code(), net::ErrCode::kUnknownArchive);
   }
 
-  net::RemoteArchive ra(server.address(), "a");
-  // PLAN against an epoch the session never had.
-  EXPECT_THROW(ra.plan_remote(/*epoch=*/999, Request::full()),
-               std::logic_error);
-  // EXECUTE of a token the server never issued.
-  EXPECT_THROW(ra.execute_remote(/*token=*/12345), std::logic_error);
-  // The connection survives typed rejections: a real lifecycle still works.
-  const net::PlanReply rep = ra.plan_remote(0, Request::full());
-  EXPECT_GT(rep.bytes_new, 0u);
+  net::RemoteReader<double> remote(server.address(), "a");
+  // EXECUTE against an epoch the server session never had: STALE_PLAN.
+  RetrievalPlan forged_epoch = remote.plan(Request::full());
+  forged_epoch.epoch = 999;
+  EXPECT_THROW(remote.archive().execute_remote(forged_epoch), std::logic_error);
+  // EXECUTE with a forged expected price: the server's own plan disagrees,
+  // and the typed PRICE_DRIFT surfaces as the mirror-drift runtime_error.
+  RetrievalPlan forged_price = remote.plan(Request::full());
+  forged_price.bytes_new += 1;
+  try {
+    remote.execute(forged_price);
+    FAIL() << "expected a price-drift error";
+  } catch (const std::logic_error&) {
+    FAIL() << "price drift must not read as a stale plan";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("price"), std::string::npos);
+  }
+  // Neither rejection touched the session or the connection: a real
+  // retrieval still works, without a recovery, byte-identical to a local
+  // reader.
+  MemorySource src{make_archive(field, 1e-5, 4)};
+  ProgressiveReader<double> local(src);
+  EXPECT_EQ(remote.retrieve(Request::full()).bytes_new,
+            local.retrieve(Request::full()).bytes_new);
+  EXPECT_EQ(remote.data(), local.data());
+  EXPECT_EQ(remote.recoveries(), 0u);
+  EXPECT_EQ(remote.archive().stat().errors_sent, 3u);  // + the unknown OPEN
   server.stop();
 }
 
-TEST(Net, StalePlanTokensDieWithTheEpoch) {
+TEST(Net, StalePlansAreRejectedBeforeAnyFrame) {
   auto field = smooth_field(Dims{16, 12, 8}, 87, 0.05);
   net::Server server;
   server.export_memory("a", make_archive(field, 1e-6, 8));
@@ -359,7 +386,81 @@ TEST(Net, StalePlanTokensDieWithTheEpoch) {
   net::RemoteReader<double> remote(server.address(), "a");
   RetrievalPlan p1 = remote.plan(Request::error_bound(1e-2));
   remote.retrieve(Request::bytes(2000));  // advances the epoch
+  const std::uint64_t before = executes_seen(remote);
   EXPECT_THROW(remote.execute(p1), std::logic_error);
+  EXPECT_EQ(executes_seen(remote), before);  // rejected locally
+  // Not poisoned: the reader keeps refining.
+  remote.retrieve(Request::full());
+  EXPECT_EQ(executes_seen(remote), before + 1);
+  server.stop();
+}
+
+TEST(Net, TcpNoDelayOnDialAndAccept) {
+  net::Listener listener("127.0.0.1:0");
+  net::Socket dialed = net::dial(listener.address());
+  std::optional<net::Socket> accepted = listener.accept(2000);
+  ASSERT_TRUE(accepted.has_value());
+  for (const net::Socket* s : {&dialed, &*accepted}) {
+    int on = 0;
+    socklen_t len = sizeof on;
+    ASSERT_EQ(::getsockopt(s->fd(), IPPROTO_TCP, TCP_NODELAY, &on, &len), 0);
+    EXPECT_NE(on, 0);
+  }
+}
+
+/// Counts raw I/Os by direction and injects nothing.
+class CountingInjector final : public FaultInjector {
+ public:
+  bool drop(FaultOp op) override {
+    ++(op == FaultOp::kWrite ? writes : reads);
+    return false;
+  }
+  std::uint64_t writes = 0;
+  std::uint64_t reads = 0;
+};
+
+TEST(Net, OneWritePerFrame) {
+  auto field = smooth_field(Dims{24, 20, 16}, 94, 0.05);
+  net::Server server;
+  server.export_memory("a", make_archive(field, 1e-6, 8));
+  server.start();
+
+  net::RemoteReader<double> remote(server.address(), "a");
+  auto counter = std::make_shared<CountingInjector>();
+  remote.archive().set_fault_injector(counter);
+  const std::vector<Request> traffic = mixed_traffic();
+  for (std::uint64_t i = 0; i < traffic.size(); ++i) {
+    remote.retrieve(traffic[i]);
+    // Each refinement is exactly one client frame, written in one sendmsg.
+    EXPECT_EQ(counter->writes, i + 1);
+  }
+  remote.archive().stat();
+  EXPECT_EQ(counter->writes, traffic.size() + 1);
+  server.stop();
+}
+
+TEST(Net, OneRoundTripPerRefinement) {
+  auto field = smooth_field(Dims{24, 20, 16}, 95, 0.05);
+  net::Server server;
+  server.export_memory("a", make_archive(field, 1e-6, 8));
+  server.start();
+
+  net::RemoteReader<double> remote(server.address(), "a");
+  const std::vector<Request> traffic = mixed_traffic();
+  for (const Request& req : traffic) remote.retrieve(req);
+  const net::ServeStats st = remote.archive().stat();
+  // HELLO, OPEN, EXECUTE, STAT, CLOSE, RESUME, unknown: no PLAN slot.
+  ASSERT_EQ(st.frames_by_opcode.size(), net::kRequestOpCount + 1);
+  const auto slot = [](net::Op op) {
+    return net::op_slot(static_cast<std::uint8_t>(op));
+  };
+  EXPECT_EQ(st.frames_by_opcode[slot(net::Op::kExecute)], traffic.size());
+  EXPECT_EQ(st.frames_by_opcode[slot(net::Op::kHello)], 1u);
+  EXPECT_EQ(st.frames_by_opcode[slot(net::Op::kOpen)], 1u);
+  EXPECT_EQ(st.frames_by_opcode[net::kRequestOpCount], 0u);
+  // Every frame the client sent is accounted for: HELLO + OPEN + one
+  // EXECUTE per refinement + this STAT.
+  EXPECT_EQ(st.frames_in, traffic.size() + 3);
   server.stop();
 }
 
@@ -396,9 +497,9 @@ TEST(Net, StopReturnsPromptlyAfterAcceptWakeStorms) {
 
 // Satellite coverage for the send() resume loops: torn (1-byte) writes and
 // EINTR storms on the sender must never desynchronize the framing.  The
-// schedule pins ordinals directly: send() issues two raw writes per frame
-// (5-byte head, then body), and every clamped attempt retries as the next
-// ordinal.
+// schedule pins ordinals directly: send() issues one raw write per frame
+// (5-byte head and body gathered), and every clamped attempt retries as the
+// next ordinal.
 TEST(Fault, FrameChannelFramingSurvivesShortWritesAndEintrStorms) {
   net::Listener listener("127.0.0.1:0");
   net::Socket peer = net::dial(listener.address());
@@ -408,10 +509,10 @@ TEST(Fault, FrameChannelFramingSurvivesShortWritesAndEintrStorms) {
   net::FrameChannel rx(std::move(*accepted), net::kMaxFrameBytes);
 
   auto plan = std::make_shared<FaultPlan>(0);
-  // Ordinal 0: head write torn to 1 byte; 1: the 4-byte remainder torn
-  // again; 2: the last 3 head bytes; 3–5: an EINTR storm at the body write;
-  // 6: the body, torn once more; 7: the 31999-byte remainder.
-  plan->torn_at(0).torn_at(1).eintr_at(3, 3).torn_at(6).delay_at(7, 1);
+  // Ordinal 0: the frame write torn to 1 byte; 1: torn again; 2–4: an EINTR
+  // storm mid-header; 5: torn once more (the header's third byte); 6: the
+  // 32002-byte remainder, header tail and body in one gathered write.
+  plan->torn_at(0).torn_at(1).eintr_at(2, 3).torn_at(5).delay_at(6, 1);
   tx.set_fault_injector(plan);
 
   Rng rng(4242);
@@ -451,11 +552,11 @@ TEST(Fault, WireBitFlipFastFailsTypedWhenRetriesDisabled) {
   remote.archive().set_fault_injector(plan);
 
   RetrievalPlan p = remote.plan(Request::full());
-  // EXECUTE issues two raw writes (head, body), then per reply frame a
-  // 4-byte length read and a body read whose chunk is [op][key u64][payload].
-  // Flip a payload bit of the first SEGMENT frame.
+  // EXECUTE is one raw write, then per reply frame a 5-byte [length][op]
+  // read and a body read whose chunk is [key u64][payload].  Flip a payload
+  // bit of the first SEGMENT frame.
   const std::uint64_t e = plan->io_ops();
-  plan->flip_at(e + 3, /*byte=*/9, /*bit=*/3);
+  plan->flip_at(e + 2, /*byte=*/8, /*bit=*/3);
   try {
     remote.execute(p);
     FAIL() << "expected IntegrityError at the wire boundary";
@@ -468,11 +569,12 @@ TEST(Fault, WireBitFlipFastFailsTypedWhenRetriesDisabled) {
   server.stop();
 }
 
-// The acceptance schedule: two torn reads/writes and an EINTR storm ride
-// through transparently; a bit-flipped frame and then a connection reset
+// The acceptance schedule: two torn writes and an EINTR storm ride through
+// transparently; a bit-flipped frame and then a connection reset
 // mid-EXECUTE each trigger one recovery cycle (reconnect, RESUME replay of
-// the acknowledged history, re-plan, re-execute); the mixed retrieval
+// the acknowledged history, re-send the same EXECUTE); the mixed retrieval
 // completes byte-identical to a local reader replaying the same requests.
+// Planning is local, so every ordinal below counts from the EXECUTE write.
 TEST(Fault, SeededScheduleRecoversAndStaysByteIdentical) {
   auto field = smooth_field(Dims{24, 20, 16}, 91, 0.05);
   const Bytes archive = make_archive(field, 1e-6, 8);
@@ -488,12 +590,12 @@ TEST(Fault, SeededScheduleRecoversAndStaysByteIdentical) {
   auto plan = std::make_shared<FaultPlan>(0);
   remote.archive().set_fault_injector(plan);
 
-  // Phase 1: benign faults — torn EXECUTE head write (twice: the retry of a
-  // torn write is itself torn) and an EINTR storm at the body write.  No
+  // Phase 1: benign faults — torn EXECUTE write (twice: the retry of a torn
+  // write is itself torn) and an EINTR storm on the rest of the frame.  No
   // recovery needed.
   RetrievalPlan p1 = remote.plan(Request::error_bound(1e-2));
   std::uint64_t e = plan->io_ops();
-  plan->torn_at(e).torn_at(e + 1).eintr_at(e + 4, 3);
+  plan->torn_at(e).torn_at(e + 1).eintr_at(e + 2, 3);
   remote.execute(p1);
   EXPECT_EQ(plan->torn(), 2u);
   EXPECT_EQ(plan->eintrs(), 3u);
@@ -503,17 +605,18 @@ TEST(Fault, SeededScheduleRecoversAndStaysByteIdentical) {
   // refinement → IntegrityError{kWire} → one recovery cycle.
   RetrievalPlan p2 = remote.plan(Request::bytes(3000));
   e = plan->io_ops();
-  plan->flip_at(e + 3, /*byte=*/9, /*bit=*/5);
+  plan->flip_at(e + 2, /*byte=*/8, /*bit=*/5);
   remote.execute(p2);
   EXPECT_EQ(plan->flips(), 1u);
   EXPECT_EQ(remote.recoveries(), 1u);
   EXPECT_EQ(remote.retries(), 1u);
 
   // Phase 3: connection reset in the middle of the full retrieval's reply
-  // stream → second recovery cycle, RESUME now replays two requests.
+  // stream (the second SEGMENT frame's body read) → second recovery cycle,
+  // RESUME now replays two requests.
   RetrievalPlan p3 = remote.plan(Request::full());
   e = plan->io_ops();
-  plan->reset_at(e + 5);
+  plan->reset_at(e + 4);
   remote.execute(p3);
   EXPECT_EQ(plan->resets(), 1u);
   EXPECT_EQ(remote.recoveries(), 2u);
