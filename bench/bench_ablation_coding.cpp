@@ -126,12 +126,9 @@ int main() {
   std::printf("\n--- (d) codec orchestration policy on the plane segments ---\n");
   {
     // The per-plane byte streams the real pipeline feeds the codec: the
-    // negabinary planes with the 2-bit predictive XOR applied.
-    std::vector<Bytes> segs;
-    auto planes = extract_all_planes(nb);
-    for (unsigned k = 0; k < kPlaneCount; ++k) {
-      segs.push_back(predictive_encode_plane(nb, planes[k], k, 2));
-    }
+    // negabinary residual planes of the 2-bit predictive XOR.
+    const std::vector<Bytes> segs =
+        encode_level(nb, /*with_loss=*/false, kDefaultPrefixBits).planes;
     TableReporter td({"policy", "plane bytes", "encode MB/s",
                       "empty/raw/rle/lzh/bitpack"});
     std::size_t raw_total = 0;

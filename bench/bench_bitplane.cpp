@@ -11,6 +11,7 @@
 // floor is >=3x for extract_all_planes and the multi-plane deposit, SIMD
 // tier vs the ref scalar path.
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "bitplane/bitplane.hpp"
 #include "bitplane/negabinary.hpp"
+#include "bitplane/predictive.hpp"
 #include "bitplane/transpose.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -64,6 +66,30 @@ void deposit_plane_ref(std::span<std::uint32_t> values,
       bits = static_cast<std::uint8_t>(bits & (bits - 1));
     }
   }
+}
+
+/// Per-set-bit loss walk (the pre-fusion truncation_loss_table): each
+/// value's partial negabinary sum is range-maxed into the depths it covers.
+std::array<std::int64_t, kPlaneCount + 1> truncation_loss_table_ref(
+    std::span<const std::uint32_t> values) {
+  std::array<std::int64_t, kPlaneCount + 1> table{};
+  for (std::uint32_t v : values) {
+    std::int64_t acc = 0;
+    std::uint32_t bits = v;
+    while (bits) {
+      const unsigned k = static_cast<unsigned>(__builtin_ctz(bits));
+      bits &= bits - 1;
+      const std::int64_t w = std::int64_t{1} << k;
+      acc += (k & 1u) ? -w : w;
+      const std::int64_t mag = acc < 0 ? -acc : acc;
+      const unsigned next =
+          bits ? static_cast<unsigned>(__builtin_ctz(bits)) : kPlaneCount;
+      for (unsigned d = k + 1; d <= next; ++d) {
+        table[d] = std::max(table[d], mag);
+      }
+    }
+  }
+  return table;
 }
 
 unsigned plane_count_ref(std::span<const std::uint32_t> values) {
@@ -203,11 +229,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // -- fused encode (count + loss + planes) vs separate sweeps -------------
+  // -- fused encode (count + loss + residual planes) vs separate sweeps ----
   double ref_encode = median_seconds(reps, [&] {
     const unsigned np = plane_count_ref(codes);
-    auto loss = truncation_loss_table(codes);
+    auto loss = truncation_loss_table_ref(codes);
     auto ps = extract_all_planes_ref(codes);
+    for (unsigned k = 0; k < np; ++k) {
+      ps[k] = predictive_encode_plane(codes, ps[k], k, kDefaultPrefixBits);
+    }
     if (np && loss[1] < 0 && ps[0].empty()) std::printf("unreachable\n");
   });
   rows.push_back({"encode_fused", "ref", ref_encode, gbps(bytes, ref_encode)});
@@ -215,10 +244,18 @@ int main(int argc, char** argv) {
     if (t > detected_simd_level()) continue;
     const auto& ops = transpose_ops(t);
     double s = median_seconds(reps, [&] {
-      LevelEncoding enc = encode_level(ops, codes, /*with_loss=*/true);
+      LevelEncoding enc =
+          encode_level(ops, codes, /*with_loss=*/true, kDefaultPrefixBits);
       if (enc.n_planes != n_planes) std::printf("unreachable\n");
     });
     rows.push_back({"encode_fused", to_string(t), s, gbps(bytes, s)});
+  }
+
+  if (encode_level(codes, /*with_loss=*/true).loss !=
+      truncation_loss_table_ref(codes)) {
+    std::fprintf(stderr,
+                 "FATAL: fused loss table differs from the reference\n");
+    return 1;
   }
 
   std::printf("%-14s %-8s %10s %10s %9s\n", "stage", "tier", "seconds", "GB/s",

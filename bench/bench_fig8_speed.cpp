@@ -206,8 +206,10 @@ BitplaneThroughput bitplane_throughput(int reps, std::size_t n,
   out.deposit_gbps = bytes / 1.0e9 / dep.seconds;
   if (rebuilt != codes) std::printf("unreachable: deposit mismatch\n");
 
+  // The shipped encode: loss table plus predictive residual planes.
   const StageResult en = median_of(reps, n * 4, [&] {
-    LevelEncoding e = encode_level(codes, /*with_loss=*/true);
+    LevelEncoding e =
+        encode_level(codes, /*with_loss=*/true, kDefaultPrefixBits);
     if (e.n_planes != enc.n_planes) std::printf("unreachable\n");
   });
   out.fused_encode_mbps = mb_per_s(n * 4, en.seconds);
@@ -215,8 +217,8 @@ BitplaneThroughput bitplane_throughput(int reps, std::size_t n,
 }
 
 /// Codec-orchestration census over the entropy stage: the exact per-plane
-/// byte streams append_plane_segments feeds codec_compress (fused plane
-/// split + predictive XOR, prefix 2) under both code profiles, encoded under
+/// byte streams append_plane_segments feeds codec_compress (encode_level's
+/// fused residual planes, prefix 2) under both code profiles, encoded under
 /// the probe-routed policy vs the legacy try-all policy.  Records per-method
 /// routing counts, encode MB/s per policy, and the compressed-size delta.
 struct CodecCensus {
@@ -237,11 +239,9 @@ CodecCensus codec_census(int reps, std::size_t n) {
   for (auto [seed, spread] : {std::pair<unsigned, unsigned>{303, 12},
                               std::pair<unsigned, unsigned>{404, 20}}) {
     std::vector<std::uint32_t> codes = synth_codes(n, seed, spread);
-    LevelEncoding enc = encode_level(codes, /*with_loss=*/false);
-    for (unsigned k = 0; k < enc.n_planes; ++k) {
-      segs.push_back(predictive_encode_plane(codes, enc.planes[k], k,
-                                             /*prefix_bits=*/2));
-    }
+    LevelEncoding enc =
+        encode_level(codes, /*with_loss=*/false, kDefaultPrefixBits);
+    for (Bytes& plane : enc.planes) segs.push_back(std::move(plane));
   }
   c.segments = segs.size();
   for (const Bytes& s : segs) c.raw_bytes += s.size();

@@ -5,7 +5,6 @@
 #include "bench_common.hpp"
 #include "bitplane/bitplane.hpp"
 #include "bitplane/negabinary.hpp"
-#include "bitplane/predictive.hpp"
 #include "coding/entropy.hpp"
 #include "interp/sweep.hpp"
 #include "quant/quantizer.hpp"
@@ -46,16 +45,9 @@ double stream_entropy(const std::vector<std::vector<std::uint32_t>>& levels,
   double weighted = 0.0;
   double total_bits = 0.0;
   for (const auto& codes : levels) {
-    if (codes.empty()) continue;
-    std::uint32_t all = 0;
-    for (auto c : codes) all |= c;
-    if (all == 0) continue;
-    const unsigned n_planes = 32 - __builtin_clz(all);
-    auto planes = extract_all_planes(codes);
-    for (unsigned k = 0; k < n_planes; ++k) {
-      Bytes stream = prefix_bits == 0
-                         ? planes[k]
-                         : predictive_encode_plane(codes, planes[k], k, prefix_bits);
+    const LevelEncoding enc =
+        encode_level(codes, /*with_loss=*/false, prefix_bits);
+    for (const Bytes& stream : enc.planes) {
       const double h = bit_entropy(stream, codes.size());
       weighted += h * static_cast<double>(codes.size());
       total_bits += static_cast<double>(codes.size());

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "bitplane/negabinary.hpp"
 #include "util/parallel.hpp"
 
 namespace ipcomp {
@@ -47,32 +48,68 @@ inline std::size_t tile_count(std::size_t n) {
 /// work, so ~512 tiles (32 Ki values) is where forking a team starts paying.
 constexpr std::size_t kTileGrain = 512;
 
-void accumulate_loss(std::span<const std::uint32_t> values,
-                     std::array<std::int64_t, kPlaneCount + 1>& table) {
-  // loss_v(d) = |decode(low d bits of v)| is piecewise constant in d: it only
-  // changes at d = k+1 for set bits k, so walk each value's set bits and
-  // range-update the table over (k, next_set_bit].  Note loss_v(d) is NOT
-  // monotone in d (a higher negabinary bit can cancel lower ones), which is
-  // why the table is exact per depth instead of a running maximum.
-  for (std::uint32_t v : values) {
-    if (v == 0) continue;
-    std::int64_t acc = 0;
-    std::uint32_t bits = v;
-    unsigned k = static_cast<unsigned>(__builtin_ctz(bits));
-    while (true) {
-      bits &= bits - 1;
-      // (-2)^k = 2^k with sign by parity of k.
-      std::int64_t w = std::int64_t{1} << k;
-      acc += (k & 1u) ? -w : w;
-      std::int64_t mag = acc < 0 ? -acc : acc;
-      unsigned next = bits ? static_cast<unsigned>(__builtin_ctz(bits)) : kPlaneCount;
-      for (unsigned d = k + 1; d <= next; ++d) {
-        if (mag > table[d]) table[d] = mag;
-      }
-      if (!bits) break;
-      k = next;
+using LossTable = std::array<std::int64_t, kPlaneCount + 1>;
+
+/// Exact truncation-loss table of one chunk whose values OR to `orall`.
+/// Dropping the low d bits of v loses decode(v & m_d) = ((v & m_d) ^ M_d) -
+/// M_d, where m_d = 2^d - 1 and M_d = kNegabinaryMask & m_d, so entry d is
+/// one branch-free max-|x| reduction over the chunk.  For d <= 31 both terms
+/// are below 2^31 and the difference fits int32, which vectorizes; d = 32
+/// runs in int64 and only when some value has bit 31 set.  Depths at or above
+/// the chunk's plane count drop whole values and repeat that entry.  Note
+/// the loss is NOT monotone in d (a higher negabinary bit can cancel lower
+/// ones), which is why every depth is its own reduction instead of a running
+/// maximum.
+LossTable chunk_loss_table(std::span<const std::uint32_t> values,
+                           std::uint32_t orall) {
+  LossTable table{};
+  if (orall == 0) return table;
+  const unsigned top =
+      kPlaneCount - static_cast<unsigned>(std::countl_zero(orall));
+  for (unsigned d = 1; d <= std::min(top, kPlaneCount - 1); ++d) {
+    const std::uint32_t m = (std::uint32_t{1} << d) - 1u;
+    const std::uint32_t md = kNegabinaryMask & m;
+    std::int32_t best = 0;
+    for (std::uint32_t v : values) {
+      const std::int32_t x = static_cast<std::int32_t>((v & m) ^ md) -
+                             static_cast<std::int32_t>(md);
+      best = std::max(best, x < 0 ? -x : x);
+    }
+    table[d] = best;
+  }
+  if (top == kPlaneCount) {
+    std::int64_t best = 0;
+    for (std::uint32_t v : values) {
+      const std::int64_t x = negabinary_decode(v);
+      best = std::max(best, x < 0 ? -x : x);
+    }
+    table[kPlaneCount] = best;
+  }
+  for (unsigned d = top + 1; d <= kPlaneCount; ++d) table[d] = table[top];
+  return table;
+}
+
+/// Turn one tile's plane words into predictive residuals in place (paper
+/// §4.4.1): word k becomes w_k ^ w_{k+1} ^ ... ^ w_{k+prefix}, where words of
+/// planes clear in `mask` (tile_fwd leaves them unwritten) and planes >= 32
+/// count as zero.  Returns the planes whose residual can be nonzero:
+/// mask | mask>>1 | ... | mask>>prefix.
+std::uint32_t predict_tile(std::uint64_t* words, std::uint32_t mask,
+                           unsigned prefix) {
+  const unsigned top =
+      kPlaneCount - static_cast<unsigned>(std::countl_zero(mask));
+  for (unsigned k = 0; k < top; ++k) {
+    if (((mask >> k) & 1u) == 0) words[k] = 0;
+  }
+  // Ascending k: the words above k are still raw plane words when read.
+  for (unsigned k = 0; k < top; ++k) {
+    for (unsigned p = 1; p <= prefix && k + p < top; ++p) {
+      words[k] ^= words[k + p];
     }
   }
+  std::uint32_t live = mask;
+  for (unsigned p = 1; p <= prefix && p < kPlaneCount; ++p) live |= mask >> p;
+  return live;
 }
 
 /// Chunk width shared by the fused encode pass and truncation_loss_table so
@@ -179,18 +216,15 @@ std::array<std::int64_t, kPlaneCount + 1> truncation_loss_table(
   // Per-chunk partial tables merged by max (the per-depth maximum commutes
   // with partitioning the value set).
   const std::size_t n_chunks = (values.size() + kLossChunk - 1) / kLossChunk;
-  if (n_chunks <= 1) {
-    std::array<std::int64_t, kPlaneCount + 1> table{};
-    accumulate_loss(values, table);
-    return table;
-  }
-  std::vector<std::array<std::int64_t, kPlaneCount + 1>> partial(
-      n_chunks, std::array<std::int64_t, kPlaneCount + 1>{});
+  std::vector<LossTable> partial(n_chunks);
   parallel_chunks(0, values.size(), kLossChunk, [&](std::size_t lo,
                                                     std::size_t hi) {
-    accumulate_loss(values.subspan(lo, hi - lo), partial[lo / kLossChunk]);
+    const auto chunk = values.subspan(lo, hi - lo);
+    std::uint32_t orall = 0;
+    for (std::uint32_t v : chunk) orall |= v;
+    partial[lo / kLossChunk] = chunk_loss_table(chunk, orall);
   });
-  std::array<std::int64_t, kPlaneCount + 1> table{};
+  LossTable table{};
   for (const auto& p : partial) {
     for (unsigned d = 0; d <= kPlaneCount; ++d) table[d] = std::max(table[d], p[d]);
   }
@@ -199,25 +233,26 @@ std::array<std::int64_t, kPlaneCount + 1> truncation_loss_table(
 
 LevelEncoding encode_level(const TransposeOps& ops,
                            std::span<const std::uint32_t> codes,
-                           bool with_loss) {
+                           bool with_loss, unsigned prefix_bits) {
   LevelEncoding enc;
   const std::size_t n = codes.size();
   const std::size_t nbytes = plane_bytes(n);
   std::vector<PlaneBits> planes(kPlaneCount);
   for (auto& p : planes) p.assign(nbytes, 0);
 
-  // One chunked pass: each chunk transposes its tiles into the plane buffers
-  // (disjoint byte ranges) and, while the codes are still cache-hot, feeds
-  // the same values to the loss accumulator.  Chunk-local OR masks and loss
-  // tables merge by OR/max, so the result is thread-count independent and
-  // bit-identical to the separate plane_count / truncation_loss_table /
-  // extract_all_planes sweeps this replaces.
+  // One chunked pass: each chunk transposes its tiles, turns the plane words
+  // into predictive residuals while they are in registers, stores them into
+  // the plane buffers (disjoint byte ranges) and, while the codes are still
+  // cache-hot, reduces the same values into the chunk's loss table.
+  // Chunk-local OR masks and loss tables merge by OR/max, so the result is
+  // thread-count independent and bit-identical to the separate plane count /
+  // truncation_loss_table / extract_all_planes / predictive_encode_plane
+  // sweeps this replaces.
   constexpr std::size_t kChunkTiles = kLossChunk / kTileValues;
   const std::size_t tiles = tile_count(n);
   const std::size_t n_chunks = (tiles + kChunkTiles - 1) / kChunkTiles;
   std::vector<std::uint32_t> chunk_or(n_chunks, 0);
-  std::vector<std::array<std::int64_t, kPlaneCount + 1>> chunk_loss(
-      with_loss ? n_chunks : 0);
+  std::vector<LossTable> chunk_loss(with_loss ? n_chunks : 0);
   parallel_chunks(0, tiles, kChunkTiles, [&](std::size_t t_lo,
                                              std::size_t t_hi) {
     const std::size_t c = t_lo / kChunkTiles;
@@ -228,6 +263,9 @@ LevelEncoding encode_level(const TransposeOps& ops,
       std::uint64_t words[kPlaneCount];
       std::uint32_t mask = ops.tile_fwd(codes.data() + lo, cnt, words);
       orall |= mask;
+      if (prefix_bits != 0 && mask != 0) {
+        mask = predict_tile(words, mask, prefix_bits);
+      }
       while (mask) {
         const unsigned k = static_cast<unsigned>(std::countr_zero(mask));
         mask &= mask - 1;
@@ -238,19 +276,16 @@ LevelEncoding encode_level(const TransposeOps& ops,
     if (with_loss) {
       const std::size_t v_lo = t_lo * kTileValues;
       const std::size_t v_hi = std::min(n, t_hi * kTileValues);
-      chunk_loss[c] = {};
-      accumulate_loss(codes.subspan(v_lo, v_hi - v_lo), chunk_loss[c]);
+      chunk_loss[c] = chunk_loss_table(codes.subspan(v_lo, v_hi - v_lo), orall);
     }
   });
 
   std::uint32_t orall = 0;
   for (std::uint32_t m : chunk_or) orall |= m;
-  enc.n_planes = orall == 0 ? 0 : 32 - static_cast<unsigned>(std::countl_zero(orall));
-  if (with_loss) {
-    for (const auto& t : chunk_loss) {
-      for (unsigned d = 0; d <= kPlaneCount; ++d) {
-        enc.loss[d] = std::max(enc.loss[d], t[d]);
-      }
+  enc.n_planes = kPlaneCount - static_cast<unsigned>(std::countl_zero(orall));
+  for (const auto& t : chunk_loss) {
+    for (unsigned d = 0; d <= kPlaneCount; ++d) {
+      enc.loss[d] = std::max(enc.loss[d], t[d]);
     }
   }
   planes.resize(enc.n_planes);
@@ -259,8 +294,8 @@ LevelEncoding encode_level(const TransposeOps& ops,
 }
 
 LevelEncoding encode_level(std::span<const std::uint32_t> codes,
-                           bool with_loss) {
-  return encode_level(transpose_ops(), codes, with_loss);
+                           bool with_loss, unsigned prefix_bits) {
+  return encode_level(transpose_ops(), codes, with_loss, prefix_bits);
 }
 
 }  // namespace ipcomp

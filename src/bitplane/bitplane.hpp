@@ -76,19 +76,25 @@ struct LevelEncoding {
   unsigned n_planes = 0;  ///< highest populated plane + 1 (0: all zero)
   /// Negabinary truncation losses (valid when requested; see encode_level).
   std::array<std::int64_t, kPlaneCount + 1> loss{};
-  /// Packed planes, index k in [0, n_planes).
+  /// Packed planes, index k in [0, n_planes): raw bits, or predictive
+  /// residuals when encode_level ran with prefix_bits > 0.
   std::vector<PlaneBits> planes;
 };
 
 /// One pass over `codes` producing the level's plane split.  `with_loss`
-/// additionally accumulates the exact truncation-loss table (backends with
+/// additionally computes the exact truncation-loss table (backends with
 /// their own loss model — e.g. wavelet's measured tables — skip it).
-/// Results are bit-identical to plane_count + truncation_loss_table +
-/// extract_all_planes run separately.
+/// `prefix_bits` > 0 emits the predictive residual planes of paper §4.4.1
+/// instead of raw planes: plane k holds b_k ^ b_{k+1} ^ ... ^ b_{k+prefix}
+/// (bits above 31 are zero), XORed on the transposed tile words, so each
+/// plane is exactly predictive_encode_plane(codes, raw plane k, k,
+/// prefix_bits).  n_planes and the loss table never depend on prefix_bits.
+/// Results are bit-identical to plane count + truncation_loss_table +
+/// extract_all_planes (+ predictive_encode_plane) run separately.
 LevelEncoding encode_level(const TransposeOps& ops,
                            std::span<const std::uint32_t> codes,
-                           bool with_loss);
+                           bool with_loss, unsigned prefix_bits = 0);
 LevelEncoding encode_level(std::span<const std::uint32_t> codes,
-                           bool with_loss);
+                           bool with_loss, unsigned prefix_bits = 0);
 
 }  // namespace ipcomp

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "bitplane/bitplane.hpp"
-#include "bitplane/predictive.hpp"
 #include "coding/codec.hpp"
 #include "core/interp_backend.hpp"
 #include "util/parallel.hpp"
@@ -83,21 +82,15 @@ Bytes serialize_base_segment(const LevelScratch& ls, bool progressive,
   return w.take();
 }
 
-void append_plane_segments(const std::vector<std::uint32_t>& codes,
-                           std::vector<PlaneBits>&& planes,
+void append_plane_segments(std::vector<PlaneBits>&& planes,
                            std::uint16_t level_tag, std::uint32_t block,
-                           const Options& opt,
+                           CodecPolicy codec,
                            std::vector<std::pair<SegmentId, Bytes>>& out) {
   const unsigned n_planes = static_cast<unsigned>(planes.size());
   if (n_planes == 0) return;
   std::vector<Bytes> packed(n_planes);
   parallel_for(0, n_planes, [&](std::size_t k) {
-    Bytes encoded = opt.prefix_bits == 0
-                        ? std::move(planes[k])
-                        : predictive_encode_plane(codes, planes[k],
-                                                  static_cast<unsigned>(k),
-                                                  opt.prefix_bits);
-    packed[k] = codec_compress({encoded.data(), encoded.size()}, opt.codec);
+    packed[k] = codec_compress({planes[k].data(), planes[k].size()}, codec);
   }, /*grain=*/1);
   for (unsigned k = 0; k < n_planes; ++k) {
     out.emplace_back(SegmentId{kSegPlane, level_tag, k, block},

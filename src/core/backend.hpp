@@ -164,14 +164,13 @@ const ProgressiveBackend* backend_by_name(const std::string& name);
 Bytes serialize_base_segment(const LevelScratch& ls, bool progressive,
                              CodecPolicy codec);
 
-/// Pack a progressive level's pre-split planes (from encode_level's fused
-/// pass) into per-plane segments — predictive XOR against `codes` + codec,
-/// planes packed independently and concurrently — appended to `out` in
-/// table order k = 0 .. planes.size()-1.
-void append_plane_segments(const std::vector<std::uint32_t>& codes,
-                           std::vector<PlaneBits>&& planes,
+/// Pack a progressive level's planes (encode_level's fused pass: predictive
+/// residuals when the archive's prefix_bits > 0) into per-plane segments —
+/// codec per plane, planes packed independently and concurrently — appended
+/// to `out` in table order k = 0 .. planes.size()-1.
+void append_plane_segments(std::vector<PlaneBits>&& planes,
                            std::uint16_t level_tag, std::uint32_t block,
-                           const Options& opt,
+                           CodecPolicy codec,
                            std::vector<std::pair<SegmentId, Bytes>>& out);
 
 }  // namespace ipcomp

@@ -81,9 +81,10 @@ BlockCompressResult compress_impl(const T* original, T* work,
       continue;
     }
 
-    // Fused pass: plane count, exact truncation-loss table and the plane
-    // split all come out of one tiled sweep over the codes.
-    LevelEncoding enc = encode_level(scratch.codes, /*with_loss=*/true);
+    // Fused pass: plane count, exact truncation-loss table and the
+    // predictive residual planes all come out of one tiled sweep.
+    LevelEncoding enc =
+        encode_level(scratch.codes, /*with_loss=*/true, opt.prefix_bits);
     lh.n_planes = enc.n_planes;
     lh.loss.resize(enc.n_planes + 1);
     for (unsigned d = 0; d <= enc.n_planes; ++d) {
@@ -94,8 +95,8 @@ BlockCompressResult compress_impl(const T* original, T* work,
         SegmentId{kSegBase, level_tag, 0, block},
         serialize_base_segment(scratch, true, opt.codec));
 
-    append_plane_segments(scratch.codes, std::move(enc.planes), level_tag,
-                          block, opt, out.segments);
+    append_plane_segments(std::move(enc.planes), level_tag, block, opt.codec,
+                          out.segments);
   }
   return out;
 }

@@ -133,7 +133,6 @@ void interpolation_sweep_strided(T* data, const LevelStructure& ls,
         ++n_digits;
       }
 
-      const std::size_t total = p.n_lines * p.targets_per_line;
       const bool cubic = (kind == InterpKind::kCubic);
       parallel_for(0, p.n_lines, [&](std::size_t line) {
         // Decode the line's base element offset.
@@ -160,7 +159,6 @@ void interpolation_sweep_strided(T* data, const LevelStructure& ls,
           data[idx] = visit(l - 1, slot, idx, pred);
         }
       }, /*grain=*/std::max<std::size_t>(1, 16384 / std::max<std::size_t>(1, p.targets_per_line)));
-      (void)total;
     }
   }
 }

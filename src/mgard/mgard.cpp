@@ -8,6 +8,7 @@
 #include "bitplane/negabinary.hpp"
 #include "bitplane/predictive.hpp"
 #include "coding/codec.hpp"
+#include "core/backend.hpp"
 #include "core/header.hpp"  // kSegPlane segment kind
 #include "interp/sweep.hpp"
 #include "io/archive.hpp"
@@ -146,28 +147,19 @@ Bytes PmgardCompressor::compress(NdConstView<double> data, double eb_abs) {
           static_cast<std::int64_t>(std::llround(coeffs[li][i] * to_fixed)));
     }, /*grain=*/1 << 14);
 
-    std::uint32_t all = 0;
-    for (auto c : codes) all |= c;
-    const unsigned n_planes = all == 0 ? 0 : 32 - __builtin_clz(all);
-    info.n_planes = n_planes;
-    auto loss = truncation_loss_table(codes);
-    info.loss.resize(n_planes + 1);
-    for (unsigned d = 0; d <= n_planes; ++d) {
-      info.loss[d] = static_cast<std::uint64_t>(loss[d]);
+    LevelEncoding enc = encode_level(codes, /*with_loss=*/true, kPrefixBits);
+    info.n_planes = enc.n_planes;
+    info.loss.resize(enc.n_planes + 1);
+    for (unsigned d = 0; d <= enc.n_planes; ++d) {
+      info.loss[d] = static_cast<std::uint64_t>(enc.loss[d]);
     }
 
-    if (n_planes > 0) {
-      auto planes = extract_all_planes(codes);
-      std::vector<Bytes> packed(n_planes);
-      parallel_for(0, n_planes, [&](std::size_t k) {
-        Bytes enc = predictive_encode_plane(codes, planes[k],
-                                            static_cast<unsigned>(k), kPrefixBits);
-        packed[k] = codec_compress({enc.data(), enc.size()}, codec_);
-      }, /*grain=*/1);
-      for (unsigned k = 0; k < n_planes; ++k) {
-        builder.add_segment({kSegPlane, static_cast<std::uint16_t>(li + 1), k},
-                            std::move(packed[k]));
-      }
+    std::vector<std::pair<SegmentId, Bytes>> segments;
+    append_plane_segments(std::move(enc.planes),
+                          static_cast<std::uint16_t>(li + 1), /*block=*/0,
+                          codec_, segments);
+    for (auto& [id, payload] : segments) {
+      builder.add_segment(id, std::move(payload));
     }
   }
   builder.set_header(serialize_header(h));

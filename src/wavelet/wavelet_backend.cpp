@@ -329,10 +329,11 @@ BlockCompressResult compress_impl(const T* original, const Dims& bd,
       continue;
     }
 
-    // One fused sweep yields plane count + plane split; the loss table is
-    // NOT the negabinary one — it stays the exact measured table (inverse
-    // transforms of the dropped bits), so with_loss is off.
-    LevelEncoding enc = encode_level(scratch.codes, /*with_loss=*/false);
+    // One fused sweep yields plane count + predictive residual planes; the
+    // loss table is NOT the negabinary one — it stays the exact measured
+    // table (inverse transforms of the dropped bits), so with_loss is off.
+    LevelEncoding enc =
+        encode_level(scratch.codes, /*with_loss=*/false, opt.prefix_bits);
     lh.n_planes = enc.n_planes;
     lh.loss =
         measure_loss_table(scratch.codes, enc.n_planes, bd, plan, li, step, eb);
@@ -340,8 +341,8 @@ BlockCompressResult compress_impl(const T* original, const Dims& bd,
     out.segments.emplace_back(
         SegmentId{kSegBase, level_tag, 0, block},
         serialize_base_segment(scratch, true, opt.codec));
-    append_plane_segments(scratch.codes, std::move(enc.planes), level_tag,
-                          block, opt, out.segments);
+    append_plane_segments(std::move(enc.planes), level_tag, block, opt.codec,
+                          out.segments);
   }
   return out;
 }

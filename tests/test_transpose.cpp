@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "bitplane/bitplane.hpp"
@@ -193,6 +194,101 @@ TEST_P(TransposeTiers, LossTableMatchesBruteForce) {
   }
 }
 
+/// Corpus whose top plane is 30 or 31, so plane k + prefix runs past bit 31
+/// for the highest planes.
+std::vector<std::vector<std::uint32_t>> high_corpus(std::size_t n,
+                                                    std::uint64_t seed) {
+  std::vector<std::vector<std::uint32_t>> inputs;
+  auto top30 = random_values(n, seed, 31);
+  if (n) top30[n / 2] |= 1u << 30;
+  inputs.push_back(std::move(top30));
+  auto top31 = random_values(n, seed + 1, 8);
+  if (n) top31[n - 1] = 0x80000000u;
+  inputs.push_back(std::move(top31));
+  return inputs;
+}
+
+/// Fused residual planes == raw planes followed by the per-plane predictive
+/// transform, for every prefix width; plane count and loss table do not
+/// depend on the prefix.
+TEST_P(TransposeTiers, EncodeLevelResidualsMatchPredictiveEncodePlane) {
+  for (std::size_t n : kSizes) {
+    auto inputs = corpus(n, 99);
+    for (auto& v : high_corpus(n, 111)) inputs.push_back(std::move(v));
+    for (const auto& values : inputs) {
+      const LevelEncoding raw =
+          encode_level(ops(), values, /*with_loss=*/true, 0);
+      for (unsigned prefix : {0u, 1u, 2u, 3u}) {
+        const LevelEncoding enc = encode_level(ops(), values, true, prefix);
+        EXPECT_EQ(enc.n_planes, raw.n_planes) << "n=" << n << " p=" << prefix;
+        EXPECT_EQ(enc.loss, raw.loss) << "n=" << n << " p=" << prefix;
+        ASSERT_EQ(enc.planes.size(), raw.planes.size());
+        for (unsigned k = 0; k < raw.n_planes; ++k) {
+          EXPECT_EQ(enc.planes[k],
+                    predictive_encode_plane(values, raw.planes[k], k, prefix))
+              << "n=" << n << " p=" << prefix << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+/// Full-range loss table against negabinary_low_bits_value, independent of
+/// the chunked reduction: bit 31 set (the int64 depth), the alternating and
+/// all-ones patterns, and chunks with different top planes meeting at the
+/// 64 Ki chunk boundary (depths above a chunk's top repeat its top entry).
+TEST_P(TransposeTiers, LossTableFullRangeMatchesBruteForce) {
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::vector<std::vector<std::uint32_t>> inputs;
+  {
+    // Specials interleaved with random full-range values, half with bit 31.
+    auto v = random_values(5000, 123);
+    const std::uint32_t specials[] = {0xFFFFFFFFu, 0xAAAAAAAAu, 0x55555555u,
+                                      0x80000000u, 0xC0000001u};
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i % 7 == 0) v[i] = specials[(i / 7) % 5];
+      if (i % 2 == 1) v[i] |= 0x80000000u;
+    }
+    inputs.push_back(std::move(v));
+  }
+  {
+    // Chunk 0: 12-bit values with 0x55555555 as its last value; chunk 1:
+    // only 0x80000000 right after the boundary; ragged chunk 2: all-ones,
+    // alternating and random bit-31 values.
+    auto v = random_values(2 * kChunk + 77, 321, 12);
+    v[kChunk - 1] = 0x55555555u;
+    std::fill(v.begin() + kChunk, v.begin() + 2 * kChunk, 0u);
+    v[kChunk] = 0x80000000u;
+    v[2 * kChunk] = 0xFFFFFFFFu;
+    v[2 * kChunk + 1] = 0xAAAAAAAAu;
+    for (std::size_t i = 2 * kChunk + 2; i < v.size(); ++i) v[i] |= 0x80000000u;
+    inputs.push_back(std::move(v));
+  }
+  {
+    // Single-value chunks of each special, one per chunk.
+    const std::uint32_t specials[] = {0xAAAAAAAAu, 0x55555555u, 0xFFFFFFFFu};
+    std::vector<std::uint32_t> v(3 * kChunk, 0);
+    for (std::size_t c = 0; c < 3; ++c) v[c * kChunk + c] = specials[c];
+    inputs.push_back(std::move(v));
+  }
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const auto& values = inputs[i];
+    std::array<std::int64_t, kPlaneCount + 1> expected{};
+    for (unsigned d = 0; d <= kPlaneCount; ++d) {
+      for (auto v : values) {
+        expected[d] =
+            std::max(expected[d], std::abs(negabinary_low_bits_value(v, d)));
+      }
+    }
+    const LevelEncoding enc = encode_level(ops(), values, /*with_loss=*/true);
+    const auto table = truncation_loss_table(values);
+    for (unsigned d = 0; d <= kPlaneCount; ++d) {
+      EXPECT_EQ(enc.loss[d], expected[d]) << "input " << i << " d=" << d;
+      EXPECT_EQ(table[d], expected[d]) << "input " << i << " d=" << d;
+    }
+  }
+}
+
 /// Batch predictive decode == the pre-refactor per-plane flow (decode one
 /// plane against the codes, deposit, decode the next).
 TEST_P(TransposeTiers, PredictiveBatchDecodeMatchesPerPlaneFlow) {
@@ -201,12 +297,9 @@ TEST_P(TransposeTiers, PredictiveBatchDecodeMatchesPerPlaneFlow) {
     const unsigned n_planes = plane_count_ref(values);
     if (n_planes < 4) continue;
     for (unsigned prefix : {1u, 2u, 3u}) {
-      // Encode side: residual planes exactly as append_plane_segments makes.
-      std::vector<Bytes> encoded(n_planes);
-      for (unsigned k = 0; k < n_planes; ++k) {
-        encoded[k] = predictive_encode_plane(values, extract_plane_ref(values, k),
-                                             k, prefix);
-      }
+      // Encode side: residual planes exactly as the backends emit them.
+      const std::vector<Bytes> encoded =
+          encode_level(ops(), values, /*with_loss=*/false, prefix).planes;
       // Resident prefix: the top plane is already deposited; the next three
       // arrive as one MSB-first batch.
       const unsigned top = n_planes - 1;
