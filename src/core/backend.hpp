@@ -92,11 +92,6 @@ class ProgressiveBackend {
   /// that must be fetched with the base segments.
   virtual bool has_aux_segment() const = 0;
 
-  /// Whether compress_block() reads/writes the `work` buffer (a mutable copy
-  /// of the field).  Backends that transform into their own scratch return
-  /// false and the driver skips the field-sized copy entirely.
-  virtual bool needs_work_buffer() const { return true; }
-
   /// Whether refine() consumes the per-level delta code arrays.  Backends
   /// that rebuild from the updated codes return false and the reader skips
   /// assembling the deltas (one allocation + deposit pass per plane).
@@ -114,10 +109,14 @@ class ProgressiveBackend {
                                unsigned l) const = 0;
 
   /// Compress one block.  `original` points at the block's origin element
-  /// inside the enclosing field addressed by `estrides`; `work` is the
-  /// matching mutable copy of the field the backend may overwrite (interp
-  /// keeps its in-loop reconstruction there).  Runs concurrently across
-  /// blocks: implementations must only touch their own block's elements.
+  /// inside the enclosing field addressed by `estrides`; the field is only
+  /// read.  Each backend gathers its block into its own dense block-local
+  /// buffer and sweeps or transforms that copy, so nothing field-sized is
+  /// allocated or written.  `work` is ignored (callers may pass nullptr); it
+  /// is kept only so perfbench's layer replay, which passes a field copy,
+  /// still compiles, and goes when a benchmark change updates that replay.
+  /// Runs concurrently across blocks: implementations must only read their
+  /// own block's elements.
   virtual BlockCompressResult compress_block(
       const float* original, float* work, const Dims& block_dims,
       const std::array<std::size_t, kMaxRank>& estrides, double eb,

@@ -3,21 +3,23 @@
 // A BlockGrid partitions a field into axis-aligned cubes of side `block_side`
 // (edge blocks are clipped to the field boundary).  Blocks are compressed and
 // decoded independently — each runs its own level analysis and interpolation
-// sweep over a strided sub-view of the field — which is what lets the
-// pipeline parallelize across blocks and lets readers serve region-of-
-// interest requests by touching only the blocks that intersect the region.
+// sweep over just that block — which is what lets the pipeline parallelize
+// across blocks and lets readers serve region-of-interest requests by
+// touching only the blocks that intersect the region.
 //
 // Block ordinals are row-major over the block grid (slowest-varying dimension
 // first, like element order), so block numbering — and with it the archive
 // segment order — is deterministic and independent of thread count.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 
 #include "util/dims.hpp"
+#include "util/parallel.hpp"
 
 namespace ipcomp {
 
@@ -34,6 +36,22 @@ inline std::size_t block_line_offset(
     rem /= bd[j];
   }
   return off;
+}
+
+/// Scatter/gather between a dense block buffer and the block's strided span
+/// of the enclosing field: fn(field_row, dense_offset, row_length) once per
+/// row along the last dimension, which is contiguous in both layouts.  Rows
+/// run in parallel unless already inside a parallel region.
+template <typename FieldT, typename RowFn>
+void for_each_block_row(const Dims& bd,
+                        const std::array<std::size_t, kMaxRank>& field_strides,
+                        FieldT* field_origin, RowFn&& fn) {
+  const std::size_t row = bd[bd.rank() - 1];
+  const std::size_t lines = bd.count() / row;
+  parallel_for(0, lines, [&](std::size_t line) {
+    fn(field_origin + block_line_offset(bd, field_strides, line), line * row,
+       row);
+  }, /*grain=*/std::max<std::size_t>(1, 32768 / row));
 }
 
 struct BlockGrid {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "core/backend.hpp"
 #include "core/blocks.hpp"
@@ -14,16 +16,36 @@ namespace ipcomp {
 
 namespace {
 
+/// Values per bound-scan chunk: enough to amortize a fork, and fixed, so the
+/// chunk layout (and with it the merge order) never depends on thread count.
+constexpr std::size_t kScanChunk = std::size_t{1} << 16;
+
+/// Finite min/max of the field (0, 0 when nothing is finite).  Chunks are
+/// scanned in parallel and merged in chunk order with the same std::min /
+/// std::max calls, so ties (−0 vs +0) resolve exactly as one serial pass.
 template <typename T>
 std::pair<double, double> min_max(NdConstView<T> v) {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < v.count(); ++i) {
-    double x = static_cast<double>(v[i]);
-    if (std::isfinite(x)) {
-      lo = std::min(lo, x);
-      hi = std::max(hi, x);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const T* const x = v.data();
+  const std::size_t n = v.count();
+  std::vector<std::pair<double, double>> part((n + kScanChunk - 1) / kScanChunk);
+  parallel_chunks(0, n, kScanChunk, [&](std::size_t b, std::size_t e) {
+    double lo = kInf;
+    double hi = -kInf;
+    for (std::size_t i = b; i < e; ++i) {
+      const double d = static_cast<double>(x[i]);
+      if (std::isfinite(d)) {
+        lo = std::min(lo, d);
+        hi = std::max(hi, d);
+      }
     }
+    part[b / kScanChunk] = {lo, hi};
+  });
+  double lo = kInf;
+  double hi = -kInf;
+  for (const auto& [plo, phi] : part) {
+    lo = std::min(lo, plo);
+    hi = std::max(hi, phi);
   }
   if (!std::isfinite(lo)) {
     lo = 0.0;
@@ -40,9 +62,20 @@ double resolve_error_bound(const Options& opt, double data_min, double data_max)
     throw std::invalid_argument("ipcomp: error bound must be positive");
   }
   if (!opt.relative) return opt.error_bound;
-  double range = data_max - data_min;
-  if (range <= 0.0) range = 1.0;  // constant field: any positive bound works
-  return opt.error_bound * range;
+  const double range = data_max - data_min;
+  double eb;
+  if (std::isfinite(range)) {
+    // A constant field has no range; any positive bound works there.
+    eb = opt.error_bound * (range <= 0.0 ? 1.0 : range);
+  } else {
+    // max − min overflowed (e.g. a ±1.5e308 field): scale before subtracting.
+    eb = opt.error_bound * data_max - opt.error_bound * data_min;
+  }
+  if (!std::isfinite(eb)) {
+    throw std::invalid_argument(
+        "ipcomp: relative error bound is not finite for this value range");
+  }
+  return eb;
 }
 
 template <typename T>
@@ -71,14 +104,6 @@ Bytes compress(NdConstView<T> input, const Options& opt) {
   auto [lo, hi] = min_max(input);
   const double eb = resolve_error_bound(opt, lo, hi);
 
-  // The work buffer is a mutable copy of the field (interp keeps its in-loop
-  // reconstruction there); transform backends never touch it, so skip the
-  // field-sized allocation for them.
-  std::vector<T> xhat;
-  if (backend.needs_work_buffer()) {
-    xhat.assign(input.span().begin(), input.span().end());
-  }
-  T* const work = xhat.empty() ? nullptr : xhat.data();
   const T* original = input.data();
   const auto estrides = dims.strides();
 
@@ -109,7 +134,7 @@ Bytes compress(NdConstView<T> input, const Options& opt) {
     // Legacy whole-field mode: one block spanning the field; the backend's
     // inner loops parallelize.
     BlockCompressResult res =
-        backend.compress_block(original, work, dims, estrides, eb, opt, 0);
+        backend.compress_block(original, nullptr, dims, estrides, eb, opt, 0);
     header.levels = std::move(res.levels);
     for (auto& [id, payload] : res.segments) {
       builder.add_segment(id, std::move(payload));
@@ -121,8 +146,7 @@ Bytes compress(NdConstView<T> input, const Options& opt) {
     std::vector<BlockCompressResult> results(grid.n_blocks);
     parallel_for(0, grid.n_blocks, [&](std::size_t b) {
       const std::size_t org = grid.origin_linear(b);
-      results[b] = backend.compress_block(original + org,
-                                          work ? work + org : nullptr,
+      results[b] = backend.compress_block(original + org, nullptr,
                                           grid.block_dims(b), estrides, eb,
                                           opt, static_cast<std::uint32_t>(b));
     }, /*grain=*/2);

@@ -32,7 +32,9 @@ template <typename T>
 double resolve_error_bound(NdConstView<T> input, const Options& opt);
 
 /// Same, with the data range already known.  Validates the configured bound
-/// before using it; this is the single place the bound logic lives.
+/// before using it; this is the single place the bound logic lives.  A range
+/// whose max − min overflows resolves as eb·max − eb·min; a relative bound
+/// that is still not finite throws std::invalid_argument.
 double resolve_error_bound(const Options& opt, double data_min, double data_max);
 
 }  // namespace ipcomp

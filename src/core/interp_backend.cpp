@@ -1,13 +1,13 @@
 #include "core/interp_backend.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "bitplane/bitplane.hpp"
 #include "bitplane/negabinary.hpp"
 #include "core/blocks.hpp"
 #include "interp/sweep.hpp"
 #include "quant/quantizer.hpp"
-#include "util/parallel.hpp"
 #include "util/sync.hpp"
 
 namespace ipcomp {
@@ -16,12 +16,12 @@ namespace {
 
 /// Full per-block pipeline: interpolation sweep (in-loop quantization) →
 /// negabinary codes + outliers → bitplane split → predictive XOR → codec.
-/// `original` and `work` point at the block's origin element; `estrides` are
-/// the strides of the enclosing field, so the sweep addresses the block as a
-/// strided sub-view in place.
+/// `original` points at the block's origin element inside the enclosing field
+/// addressed by `estrides`.  The block is copied into a dense block-local
+/// buffer that the sweep overwrites with the in-loop reconstruction, so the
+/// field is only read and the sweep's working set is the block itself.
 template <typename T>
-BlockCompressResult compress_impl(const T* original, T* work,
-                                  const Dims& block_dims,
+BlockCompressResult compress_impl(const T* original, const Dims& block_dims,
                                   const std::array<std::size_t, kMaxRank>& estrides,
                                   double eb, const Options& opt,
                                   std::uint32_t block) {
@@ -34,28 +34,38 @@ BlockCompressResult compress_impl(const T* original, T* work,
     levels[li].codes.assign(ls.level_count[li], 0);
   }
 
+  // Every element is filled by the row copy, so skip value-initialization.
+  const auto buf = std::make_unique_for_overwrite<T[]>(block_dims.count());
+  T* const data = buf.get();
+  for_each_block_row(block_dims, estrides, original,
+                     [&](const T* src, std::size_t dst0, std::size_t row) {
+    std::copy_n(src, row, data + dst0);
+  });
+
   // Outlier lists are per block; the mutex only matters in whole-field mode,
   // where the sweep's line loop is the parallel one.  In block mode the
   // nested-parallelism guard keeps this sweep serial and the lock free.
   Mutex outlier_mutex;
 
-  // In-loop quantization: the working buffer holds reconstructed values so
-  // predictions see exactly what decompression will see.
-  interpolation_sweep_strided(
-      work, ls, opt.interp, estrides,
+  // In-loop quantization: every element is visited exactly once, so data[idx]
+  // still holds the original value when its target is visited; the returned
+  // reconstruction replaces it, and later predictions see exactly what
+  // decompression will see.
+  interpolation_sweep(
+      data, ls, opt.interp,
       [&](unsigned li, std::size_t slot, std::size_t idx, T pred) -> T {
+        const T orig = data[idx];
         std::int64_t code;
         T recon;
-        if (quant.quantize(original[idx], pred, code, recon)) {
+        if (quant.quantize(orig, pred, code, recon)) {
           levels[li].codes[slot] = negabinary_encode(code);
           return recon;
         }
         {
           LockGuard lock(outlier_mutex);
-          levels[li].outliers.emplace_back(slot,
-                                           static_cast<double>(original[idx]));
+          levels[li].outliers.emplace_back(slot, static_cast<double>(orig));
         }
-        return original[idx];
+        return orig;
       });
 
   BlockCompressResult out;
@@ -142,17 +152,13 @@ void refine_impl(const Header& h, const BlockCodes& bc,
         return pred + dy;
       });
 
-  const auto field_strides = h.dims.strides();
-  const Dims& bd = ls.dims;
-  const std::size_t row = bd[bd.rank() - 1];  // contiguous in the field too
-  const std::size_t lines = bd.count() / row;
-  parallel_for(0, lines, [&](std::size_t line) {
-    const double* src = dblock.data() + line * row;
-    T* dst = field + bc.origin + block_line_offset(bd, field_strides, line);
+  for_each_block_row(bc.dims, h.dims.strides(), field + bc.origin,
+                     [&](T* dst, std::size_t src0, std::size_t row) {
+    const double* src = dblock.data() + src0;
     for (std::size_t i = 0; i < row; ++i) {
       dst[i] = static_cast<T>(static_cast<double>(dst[i]) + src[i]);
     }
-  }, /*grain=*/std::max<std::size_t>(1, 32768 / row));
+  });
 }
 
 }  // namespace
@@ -170,17 +176,17 @@ double InterpBackend::amplification(const Header& h, ErrorModel model,
 }
 
 BlockCompressResult InterpBackend::compress_block(
-    const float* original, float* work, const Dims& block_dims,
+    const float* original, float* /*work*/, const Dims& block_dims,
     const std::array<std::size_t, kMaxRank>& estrides, double eb,
     const Options& opt, std::uint32_t block) const {
-  return compress_impl(original, work, block_dims, estrides, eb, opt, block);
+  return compress_impl(original, block_dims, estrides, eb, opt, block);
 }
 
 BlockCompressResult InterpBackend::compress_block(
-    const double* original, double* work, const Dims& block_dims,
+    const double* original, double* /*work*/, const Dims& block_dims,
     const std::array<std::size_t, kMaxRank>& estrides, double eb,
     const Options& opt, std::uint32_t block) const {
-  return compress_impl(original, work, block_dims, estrides, eb, opt, block);
+  return compress_impl(original, block_dims, estrides, eb, opt, block);
 }
 
 void InterpBackend::reconstruct(const Header& h, const BlockCodes& bc,

@@ -91,8 +91,8 @@ struct LevelStructure {
 /// the strides of an *enclosing* field instead sweeps a strided sub-view —
 /// `data` then points at the block's origin element inside the field and
 /// `idx` values handed to the visitor are element offsets relative to that
-/// origin.  Block-parallel compression uses this to sweep each block in
-/// place, without copying it out of the field.
+/// origin.  Block reconstruction uses this to sweep each block in place in
+/// the reader's field; compression sweeps a dense block copy instead.
 ///
 /// Visitor signature:  T visit(unsigned level_index, std::size_t slot,
 ///                             std::size_t idx, T predicted)

@@ -122,21 +122,6 @@ void for_each_level_slot(const Dims& dims, const SubbandPlan& plan, unsigned li,
   }
 }
 
-/// Scatter/gather between a dense block buffer and the block's strided span
-/// of the enclosing field.  Rows along the last dimension are contiguous in
-/// both layouts.
-template <typename FieldT, typename RowFn>
-void for_each_block_row(const Dims& bd,
-                        const std::array<std::size_t, kMaxRank>& field_strides,
-                        FieldT* field_origin, RowFn&& fn) {
-  const std::size_t row = bd[bd.rank() - 1];
-  const std::size_t lines = bd.count() / row;
-  parallel_for(0, lines, [&](std::size_t line) {
-    fn(field_origin + block_line_offset(bd, field_strides, line), line * row,
-       row);
-  }, /*grain=*/std::max<std::size_t>(1, 32768 / row));
-}
-
 /// Parse + apply the auxiliary segment's spatial corrections: exact original
 /// values overwriting points of the block, in dense block indexing.
 template <typename T>

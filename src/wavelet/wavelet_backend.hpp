@@ -31,7 +31,6 @@ class WaveletBackend final : public ProgressiveBackend {
 
   std::vector<std::uint64_t> level_counts(const Dims& block_dims) const override;
   bool has_aux_segment() const override { return true; }
-  bool needs_work_buffer() const override { return false; }
   bool wants_delta() const override { return false; }
   Bytes metadata(const Header& h) const override;
   void validate_metadata(const Header& h) const override;

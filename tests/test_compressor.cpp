@@ -1,14 +1,30 @@
 #include <gtest/gtest.h>
 
-#include "ipcomp.hpp"
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <utility>
+
+#include "core/blocks.hpp"
 #include "interp/sweep.hpp"
+#include "ipcomp.hpp"
+#include "quant/quantizer.hpp"
 #include "test_util.hpp"
 
 namespace ipcomp {
 namespace {
 
 using testutil::linf;
+using testutil::ScopedThreads;
 using testutil::smooth_field;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
 struct CompressCase {
   Dims dims;
@@ -164,6 +180,210 @@ TEST(Compressor, InvalidErrorBoundRejected) {
   EXPECT_THROW(compress(field.const_view(), opt), std::invalid_argument);
   opt.error_bound = -1.0;
   EXPECT_THROW(compress(field.const_view(), opt), std::invalid_argument);
+}
+
+TEST(Compressor, RelativeBoundOnOverflowingRangeStaysFinite) {
+  // max − min = 3e308 overflows a double; the bound must not become inf.
+  auto field = smooth_field(Dims{24, 24}, 12);
+  for (std::size_t i = 0; i < field.count(); ++i) field[i] *= 1e307;
+  field[3] = 1.5e308;
+  field[400] = -1.5e308;
+  Options opt;
+  opt.error_bound = 1e-3;
+  opt.relative = true;
+  const double eb = resolve_error_bound(field.const_view(), opt);
+  EXPECT_EQ(eb, 1e-3 * 1.5e308 - 1e-3 * -1.5e308);
+  ASSERT_TRUE(std::isfinite(eb));
+
+  Bytes archive = compress(field.const_view(), opt);
+  MemorySource src(std::move(archive));
+  ProgressiveReader<double> reader(src);
+  EXPECT_EQ(reader.header().eb, eb);
+  const RetrievalStats st = reader.retrieve(Request::full());
+  EXPECT_TRUE(std::isfinite(st.guaranteed_error));
+  EXPECT_LE(st.guaranteed_error, eb * (1 + 1e-9));
+  EXPECT_LE(linf(field.const_view(), reader.data()), eb * (1 + 1e-9));
+
+  // Finite ranges keep the plain eb · (max − min).
+  EXPECT_EQ(resolve_error_bound(opt, -1.0, 3.0), 1e-3 * 4.0);
+  // Still not finite after scaling first: rejected, never written as inf.
+  opt.error_bound = 10.0;
+  EXPECT_THROW(resolve_error_bound(opt, -1.5e308, 1.5e308),
+               std::invalid_argument);
+  EXPECT_THROW(resolve_error_bound(opt, kNaN, 1.0), std::invalid_argument);
+}
+
+/// The bound scan the compressor's chunked parallel min/max must reproduce:
+/// one serial pass over the finite values, (0, 0) when none is finite.
+std::pair<double, double> serial_min_max(const NdArray<double>& f) {
+  double lo = kInf;
+  double hi = -kInf;
+  for (std::size_t i = 0; i < f.count(); ++i) {
+    if (std::isfinite(f[i])) {
+      lo = std::min(lo, f[i]);
+      hi = std::max(hi, f[i]);
+    }
+  }
+  if (!std::isfinite(lo)) lo = hi = 0.0;
+  return {lo, hi};
+}
+
+TEST(Compressor, BoundScanMergesChunksLikeASerialScan) {
+  constexpr std::size_t kChunk = std::size_t{1} << 16;  // scan chunk size
+  const Dims dims{72, 72, 72};                          // 5.7 chunks
+  ASSERT_GT(dims.count(), 4 * kChunk);
+
+  // Values >= 1 everywhere, so the planted zeros are the minimum; the zero
+  // seen first by a serial scan wins the ±0 tie, whichever sign it has.
+  auto base = smooth_field(dims, 31, 0.01);
+  for (std::size_t i = 0; i < base.count(); ++i) base[i] = 1.0 + std::abs(base[i]);
+  // Non-finite values on and around chunk boundaries must be skipped, and
+  // the maximum appears twice, in different chunks.
+  for (std::size_t i : {std::size_t{0}, 2 * kChunk, 2 * kChunk + 1}) base[i] = kNaN;
+  for (std::size_t i : {kChunk - 1, 4 * kChunk}) base[i] = kInf;
+  for (std::size_t i : {kChunk, base.count() - 1}) base[i] = -kInf;
+  base[kChunk + 11] = 9.5;
+  base[4 * kChunk + 9] = 9.5;
+
+  NdArray<double> neg_first = base;
+  neg_first[kChunk + 5] = -0.0;
+  neg_first[3 * kChunk + 7] = 0.0;
+  NdArray<double> pos_first = base;
+  pos_first[kChunk + 5] = 0.0;
+  pos_first[3 * kChunk + 7] = -0.0;
+  NdArray<double> non_finite(dims);
+  const double cycle[] = {kNaN, kInf, -kInf};
+  for (std::size_t i = 0; i < non_finite.count(); ++i) non_finite[i] = cycle[i % 3];
+
+  const std::pair<const char*, const NdArray<double>*> fields[] = {
+      {"neg_first", &neg_first}, {"pos_first", &pos_first},
+      {"non_finite", &non_finite}};
+  for (const auto& [name, field] : fields) {
+    const auto [lo, hi] = serial_min_max(*field);
+    Options opt;
+    opt.error_bound = 1e-4;
+    opt.relative = true;
+    opt.block_side = 32;
+    const double eb = resolve_error_bound(opt, lo, hi);
+    Bytes reference;
+    for (int threads : {1, 2, 8}) {
+      ScopedThreads pin(threads);
+      EXPECT_TRUE(same_bits(resolve_error_bound(field->const_view(), opt), eb))
+          << name << " threads " << threads;
+      Bytes archive = compress(field->const_view(), opt);
+      MemorySource src{Bytes(archive)};
+      ProgressiveReader<double> reader(src);
+      const Header& h = reader.header();
+      EXPECT_TRUE(same_bits(h.data_min, lo)) << name << " threads " << threads;
+      EXPECT_TRUE(same_bits(h.data_max, hi)) << name << " threads " << threads;
+      EXPECT_TRUE(same_bits(h.eb, eb)) << name << " threads " << threads;
+      if (reference.empty()) {
+        reference = std::move(archive);
+      } else {
+        EXPECT_EQ(archive, reference) << name << " threads " << threads;
+      }
+    }
+  }
+  // The reference scan itself resolves the planted cases as intended.
+  EXPECT_TRUE(same_bits(serial_min_max(neg_first).first, -0.0));
+  EXPECT_TRUE(same_bits(serial_min_max(pos_first).first, 0.0));
+  EXPECT_EQ(serial_min_max(neg_first).second, 9.5);
+  EXPECT_EQ(serial_min_max(non_finite), std::make_pair(0.0, 0.0));
+}
+
+/// Per-block, per-level outlier counts of a strided in-place sweep over a
+/// copy of the whole field — an independent reference for the backend, which
+/// sweeps a dense block-local copy instead.
+std::vector<std::vector<std::uint64_t>> reference_outlier_counts(
+    const NdArray<double>& field, const BlockGrid& grid, double eb,
+    InterpKind kind) {
+  ScopedThreads serial(1);  // the counters below are not atomic
+  std::vector<double> work = field.vector();
+  const LinearQuantizer quant(eb);
+  const auto estrides = field.dims().strides();
+  std::vector<std::vector<std::uint64_t>> counts(grid.n_blocks);
+  for (std::size_t b = 0; b < grid.n_blocks; ++b) {
+    const LevelStructure ls = LevelStructure::analyze(grid.block_dims(b));
+    counts[b].assign(ls.num_levels, 0);
+    const std::size_t org = grid.origin_linear(b);
+    interpolation_sweep_strided(
+        work.data() + org, ls, kind, estrides,
+        [&](unsigned li, std::size_t, std::size_t idx, double pred) {
+          const double orig = field[org + idx];
+          std::int64_t code;
+          double recon;
+          if (quant.quantize(orig, pred, code, recon)) return recon;
+          ++counts[b][li];
+          return orig;
+        });
+  }
+  return counts;
+}
+
+TEST(Compressor, OutliersRoundTripThroughBlockLocalBuffers) {
+  const Dims dims{37, 29, 22};  // no extent is a multiple of the block side
+  auto field = smooth_field(dims, 17, 0.01);
+  const double nan = std::bit_cast<double>(std::uint64_t{0x7ff80000deadbeefULL});
+  const double big = 1e12;  // code 1e12 / 2eb is far past kCodeCap
+  // Block corners, faces and the clipped far corner of a 16-block grid.
+  const std::pair<std::array<std::size_t, kMaxRank>, double> planted[] = {
+      {{0, 0, 0}, nan},     {{15, 15, 15}, kInf}, {{16, 16, 16}, -kInf},
+      {{16, 0, 0}, big},    {{36, 28, 21}, -big}, {{31, 15, 21}, nan},
+      {{20, 16, 10}, kInf}, {{15, 28, 0}, -big},  {{32, 16, 16}, big}};
+  std::vector<bool> is_planted(dims.count(), false);
+  for (const auto& [at, v] : planted) {
+    field[dims.linear(at)] = v;
+    is_planted[dims.linear(at)] = true;
+  }
+
+  Options opt;
+  opt.error_bound = 1e-6;
+  opt.relative = false;
+  for (std::size_t block_side : {std::size_t{16}, std::size_t{0}}) {
+    opt.block_side = block_side;
+    Bytes reference;
+    for (int threads : {1, 8}) {
+      ScopedThreads pin(threads);
+      Bytes archive = compress(field.const_view(), opt);
+      if (reference.empty()) {
+        reference = std::move(archive);
+      } else {
+        EXPECT_EQ(archive, reference) << "block_side " << block_side;
+      }
+    }
+
+    MemorySource src{Bytes(reference)};
+    ProgressiveReader<double> reader(src);
+    reader.retrieve(Request::full());
+    const Header& h = reader.header();
+    const BlockGrid grid = BlockGrid::analyze(dims, block_side);
+    const auto expected =
+        reference_outlier_counts(field, grid, opt.error_bound, opt.interp);
+    std::uint64_t total = 0;
+    for (std::size_t b = 0; b < grid.n_blocks; ++b) {
+      const auto& levels = block_side == 0 ? h.levels : h.block_levels[b];
+      ASSERT_EQ(levels.size(), expected[b].size());
+      for (std::size_t li = 0; li < levels.size(); ++li) {
+        EXPECT_EQ(levels[li].outlier_count, expected[b][li])
+            << "block_side " << block_side << " block " << b << " level " << li;
+        total += levels[li].outlier_count;
+      }
+    }
+    EXPECT_GE(total, std::size(planted));
+
+    const std::vector<double>& out = reader.data();
+    for (const auto& [at, v] : planted) {
+      EXPECT_TRUE(same_bits(out[dims.linear(at)], v))
+          << "block_side " << block_side << " at " << dims.linear(at);
+    }
+    std::size_t violations = 0;  // negated test so a NaN error counts too
+    for (std::size_t i = 0; i < dims.count(); ++i) {
+      if (!is_planted[i] && !(std::abs(out[i] - field[i]) <= opt.error_bound)) {
+        ++violations;
+      }
+    }
+    EXPECT_EQ(violations, 0u) << "block_side " << block_side;
+  }
 }
 
 TEST(Compressor, HeaderDescribesArchive) {

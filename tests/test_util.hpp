@@ -6,6 +6,7 @@
 
 #include "util/dims.hpp"
 #include "util/ndarray.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace ipcomp::testutil {
@@ -63,5 +64,29 @@ double value_range(NdConstView<T> a) {
   }
   return hi - lo;
 }
+
+/// Pins the OpenMP team size for the guard's lifetime (no-op without
+/// OpenMP), restoring the previous size on scope exit.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(int threads) {
+#if defined(_OPENMP)
+    saved_ = omp_get_max_threads();
+    omp_set_num_threads(threads);
+#else
+    (void)threads;
+#endif
+  }
+  ~ScopedThreads() {
+#if defined(_OPENMP)
+    omp_set_num_threads(saved_);
+#endif
+  }
+  ScopedThreads(const ScopedThreads&) = delete;
+  ScopedThreads& operator=(const ScopedThreads&) = delete;
+
+ private:
+  int saved_ = 1;
+};
 
 }  // namespace ipcomp::testutil
