@@ -324,6 +324,14 @@ int block_compare(const char* json_path, int reps) {
     reader.retrieve(Request::full());
     sink += reader.data()[0];
   });
+  // The serial cost a fresh reader's first execute() pays on the calling
+  // thread, and on fields of 32 MiB or more overlaps with its block decode:
+  // value-initializing a field-sized buffer of fresh pages.
+  StageResult fill = median_of(reps, raw, [&] {
+    std::vector<double> fresh(field.count());
+    benchmark::DoNotOptimize(fresh.data());
+    benchmark::ClobberMemory();
+  });
   StageResult d_wavelet = median_of(reps, raw, [&] {
     MemorySource src{Bytes(archive_wavelet)};
     ProgressiveReader<double> reader(src);
@@ -394,6 +402,8 @@ int block_compare(const char* json_path, int reps) {
               d_legacy.mb_per_s);
   std::printf("%-20s %12.3f %12.1f\n", "decompress block", d_block.seconds,
               d_block.mb_per_s);
+  std::printf("%-20s %12.3f %12.1f\n", "field fill", fill.seconds,
+              fill.mb_per_s);
   std::printf("%-20s %12.3f %12.1f\n", "decompress wavelet", d_wavelet.seconds,
               d_wavelet.mb_per_s);
   std::printf("\nratio: legacy %.2f, block %.2f, wavelet %.2f\n", ratio_legacy,
@@ -448,7 +458,8 @@ int block_compare(const char* json_path, int reps) {
                  "    \"compress_block\": {\"seconds\": %.6f, \"mb_per_s\": %.2f},\n"
                  "    \"bound_scan\": {\"seconds\": %.6f, \"mb_per_s\": %.2f},\n"
                  "    \"decompress_legacy\": {\"seconds\": %.6f, \"mb_per_s\": %.2f},\n"
-                 "    \"decompress_block\": {\"seconds\": %.6f, \"mb_per_s\": %.2f}\n"
+                 "    \"decompress_block\": {\"seconds\": %.6f, \"mb_per_s\": %.2f},\n"
+                 "    \"field_fill\": {\"seconds\": %.6f, \"mb_per_s\": %.2f}\n"
                  "  },\n"
                  "  \"compression_ratio\": {\"legacy\": %.4f, \"block\": %.4f},\n"
                  "  \"speedup\": {\"compress\": %.4f, \"decompress\": %.4f},\n"
@@ -493,7 +504,8 @@ int block_compare(const char* json_path, int reps) {
                  c_legacy.seconds, c_legacy.mb_per_s, c_block.seconds,
                  c_block.mb_per_s, scan.seconds, scan.mb_per_s,
                  d_legacy.seconds, d_legacy.mb_per_s,
-                 d_block.seconds, d_block.mb_per_s, ratio_legacy, ratio_block,
+                 d_block.seconds, d_block.mb_per_s, fill.seconds, fill.mb_per_s,
+                 ratio_legacy, ratio_block,
                  speedup_c, speedup_d,
                  cc.segments, cc.raw_bytes, cc.method_counts[0],
                  cc.method_counts[1], cc.method_counts[2], cc.method_counts[3],

@@ -129,8 +129,12 @@ void serialize_code_lengths(ByteWriter& w, std::span<const std::uint8_t> lengths
   }
 }
 
-std::vector<std::uint8_t> deserialize_code_lengths(ByteReader& r) {
+std::vector<std::uint8_t> deserialize_code_lengths(
+    ByteReader& r, std::size_t expected_alphabet) {
   std::size_t alphabet = r.varint();
+  if (expected_alphabet != 0 && alphabet != expected_alphabet) {
+    throw std::runtime_error("huffman: unexpected alphabet size");
+  }
   std::size_t n_used = r.varint();
   std::vector<std::uint8_t> lengths(alphabet, 0);
   std::size_t sym = 0;

@@ -175,8 +175,10 @@ Bytes compress_block(std::span<const std::uint8_t> in) {
 
 Bytes decompress_block(std::span<const std::uint8_t> in, std::size_t raw_size) {
   ByteReader r(in);
-  auto lit_lengths = deserialize_code_lengths(r);
-  auto dist_lengths = deserialize_code_lengths(r);
+  // The encoder always writes both full alphabets; any other size is forged
+  // and would let a symbol past the bucket range reach unbucketize.
+  auto lit_lengths = deserialize_code_lengths(r, kLenAlphabet);
+  auto dist_lengths = deserialize_code_lengths(r, kDistAlphabet);
   HuffmanDecoder lit_dec(lit_lengths);
   HuffmanDecoder dist_dec(dist_lengths);
   std::size_t bits_size = r.varint();

@@ -137,9 +137,11 @@ void refine_impl(const Header& h, const BlockCodes& bc,
                  T* field) {
   const LevelStructure ls = LevelStructure::analyze(bc.dims);
   const double step = 2.0 * h.eb;
-  std::vector<double> dblock(ls.dims.count(), 0.0);
+  // The sweep writes every point before any prediction reads it, so the
+  // buffer needs no zero fill.
+  const auto dblock = std::make_unique_for_overwrite<double[]>(ls.dims.count());
   interpolation_sweep(
-      dblock.data(), ls, h.interp,
+      dblock.get(), ls, h.interp,
       [&](unsigned li, std::size_t slot, std::size_t /*idx*/,
           double pred) -> double {
         double raw;
@@ -154,7 +156,7 @@ void refine_impl(const Header& h, const BlockCodes& bc,
 
   for_each_block_row(bc.dims, h.dims.strides(), field + bc.origin,
                      [&](T* dst, std::size_t src0, std::size_t row) {
-    const double* src = dblock.data() + src0;
+    const double* src = dblock.get() + src0;
     for (std::size_t i = 0; i < row; ++i) {
       dst[i] = static_cast<T>(static_cast<double>(dst[i]) + src[i]);
     }

@@ -17,6 +17,17 @@ void bitmap_set(Bytes& bm, std::size_t i) {
   bm[i >> 3] |= static_cast<std::uint8_t>(1u << (i & 7));
 }
 
+/// A fresh reader's first execute() fills its output field beside the block
+/// decode when the field buffer is at least this large.  32 MiB is glibc's
+/// 64-bit mmap threshold ceiling: buffers this size always come as fresh
+/// kernel pages, so the value-initializing fill is a serial first-touch
+/// page-fault cost (about 45 ms of a 100 ms one-shot read of a 134 MB f64
+/// field at 4 threads) and the buffer returns to the OS on free.  Below it
+/// the fill costs a few ms, and overlapping raised peak RSS 15-38% on the
+/// serve-tcp benchmark's 16.7 MB client fields through malloc arena
+/// retention (RSS was identical under MALLOC_ARENA_MAX=1).
+constexpr std::size_t kOverlapFillBytes = std::size_t{32} << 20;
+
 }  // namespace
 
 template <typename T>
@@ -210,8 +221,8 @@ void ProgressiveReader<T>::plan_block_planes(
 }
 
 template <typename T>
-void ProgressiveReader<T>::decode_and_reconstruct(std::size_t b,
-                                                  FetchedBlock& fetched) {
+std::vector<std::vector<std::uint32_t>> ProgressiveReader<T>::decode_planes(
+    std::size_t b, FetchedBlock& fetched) {
   BlockState& bs = blocks_[b];
   const auto& levels = levels_of(b);
   std::vector<std::vector<std::uint32_t>> delta;
@@ -261,14 +272,26 @@ void ProgressiveReader<T>::decode_and_reconstruct(std::size_t b,
     // are inflated: transient memory stays one level deep.
     std::vector<std::pair<unsigned, Bytes>>().swap(newp);
   }
+  return delta;
+}
 
-  if (!bs.have_recon) {
-    backend_->reconstruct(header_, bs.bc, xhat_.data());
-    bs.have_recon = true;
+template <typename T>
+void ProgressiveReader<T>::reconstruct_block(std::size_t b) {
+  BlockState& bs = blocks_[b];
+  backend_->reconstruct(header_, bs.bc, xhat_.data());
+  bs.have_recon = true;
+}
+
+template <typename T>
+void ProgressiveReader<T>::decode_and_reconstruct(std::size_t b,
+                                                  FetchedBlock& fetched) {
+  const auto delta = decode_planes(b, fetched);
+  if (!blocks_[b].have_recon) {
+    reconstruct_block(b);
     return;
   }
   if (fetched.planes.empty()) return;
-  backend_->refine(header_, bs.bc, delta, xhat_.data());
+  backend_->refine(header_, blocks_[b].bc, delta, xhat_.data());
 }
 
 template <typename T>
@@ -580,17 +603,37 @@ RetrievalStats ProgressiveReader<T>::execute(const RetrievalPlan& p) {
     }
   }
 
-  if (xhat_.empty()) xhat_.assign(header_.dims.count(), T{});
-  // Decode bases first (plane decoding reads the base codes), then fold the
-  // new planes in and reconstruct; both passes run concurrently across
-  // blocks, each block's inner loops serial (nested-parallelism guard), so
-  // output is deterministic.
-  parallel_for_ex(0, grid_.n_blocks, [&](std::size_t b) {
-    if (fetched[b].has_base) decode_base(b, fetched[b]);
-  }, /*grain=*/2);
-  parallel_for_ex(0, p.blocks.size(), [&](std::size_t i) {
-    decode_and_reconstruct(p.blocks[i], fetched[p.blocks[i]]);
-  }, /*grain=*/2);
+  // Block passes run concurrently across blocks, each block's inner loops
+  // serial (nested-parallelism guard), so output is deterministic.  A block's
+  // base decodes before its planes (plane decoding reads the base codes).
+  const std::size_t field_bytes = header_.dims.count() * sizeof(T);
+  if (xhat_.empty() && field_bytes >= kOverlapFillBytes) {
+    // First execute on a large field: the calling thread value-initializes
+    // the output (first-touch page faults, serial by nature) while the rest
+    // of the team decodes every planned block's codes, which never touch
+    // xhat_; then all blocks reconstruct.  One-block archives fall below the
+    // grain and run fill, decode, reconstruct in order with inner
+    // parallelism.
+    parallel_for_beside(
+        [&] { xhat_.assign(header_.dims.count(), T{}); }, 0, p.blocks.size(),
+        [&](std::size_t i) {
+          const std::size_t b = p.blocks[i];
+          if (fetched[b].has_base) decode_base(b, fetched[b]);
+          decode_planes(b, fetched[b]);
+        },
+        /*grain=*/2);
+    parallel_for_ex(0, p.blocks.size(), [&](std::size_t i) {
+      reconstruct_block(p.blocks[i]);
+    }, /*grain=*/2);
+  } else {
+    if (xhat_.empty()) xhat_.assign(header_.dims.count(), T{});
+    parallel_for_ex(0, grid_.n_blocks, [&](std::size_t b) {
+      if (fetched[b].has_base) decode_base(b, fetched[b]);
+    }, /*grain=*/2);
+    parallel_for_ex(0, p.blocks.size(), [&](std::size_t i) {
+      decode_and_reconstruct(p.blocks[i], fetched[p.blocks[i]]);
+    }, /*grain=*/2);
+  }
 
   if (!p.region_scoped) {
     // plane_targets was clamped against the floor at plan time, so this only

@@ -103,6 +103,14 @@ class ProgressiveReader {
   /// A plan is valid for one execution against the reader state it was
   /// computed from; executing a stale plan (the reader advanced since its
   /// plan() ran) throws std::logic_error.
+  ///
+  /// Blocks decode and reconstruct in parallel, and data() is the same for
+  /// any thread count.  The first execute() allocates the field behind
+  /// data() on the calling thread.  For a field buffer of 32 MiB or more it
+  /// overlaps that fill with the block decode: the calling thread
+  /// value-initializes the field while the rest of the OpenMP team decodes
+  /// each planned block's base and planes, and then every planned block
+  /// reconstructs.  Every later execute() decodes and refines block by block.
   RetrievalStats execute(const RetrievalPlan& plan);
 
   /// One-call retrieval: execute(plan(req)).  The Request factories cover
@@ -162,8 +170,16 @@ class ProgressiveReader {
   }
 
   void decode_base(std::size_t b, FetchedBlock& fetched);
-  /// Decode fetched planes into the block's codes, then hand the block to
-  /// the backend (full reconstruct on first touch, refine afterwards).
+  /// Code phase: decode the block's fetched planes into its codes.  Returns
+  /// the per-level code deltas a refine folds in (empty unless the block is
+  /// already reconstructed and the backend wants deltas).  Never touches
+  /// xhat_.
+  std::vector<std::vector<std::uint32_t>> decode_planes(std::size_t b,
+                                                        FetchedBlock& fetched);
+  /// First-touch backend call: full reconstruct of block `b` into xhat_.
+  void reconstruct_block(std::size_t b);
+  /// decode_planes, then hand the block to the backend (full reconstruct on
+  /// first touch, refine afterwards).
   void decode_and_reconstruct(std::size_t b, FetchedBlock& fetched);
   std::vector<LevelPlanInput> planner_inputs() const;
   RetrievalStats finish_stats(std::size_t before);
@@ -202,9 +218,10 @@ class ProgressiveReader {
   // ---- retrieval state --------------------------------------------------
   // Everything below `src_`/`cfg_` is the externally-synchronized mutable
   // state of the class contract above: written only by the constructor and
-  // execute() (via decode_base / decode_and_reconstruct), read by plan()
-  // and the const accessors.  No member function writes any of it from a
-  // const path — that is what keeps concurrent plan() calls pure.
+  // execute() (via decode_base / decode_planes / reconstruct_block /
+  // decode_and_reconstruct), read by plan() and the const accessors.  No
+  // member function writes any of it from a const path — that is what keeps
+  // concurrent plan() calls pure.
   SegmentSource& src_;
   ReaderConfig cfg_;
   const ProgressiveBackend* backend_ = nullptr;

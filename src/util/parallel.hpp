@@ -95,4 +95,52 @@ void parallel_for_ex(std::size_t begin, std::size_t end, Fn&& fn,
   if (eptr) std::rethrow_exception(eptr);
 }
 
+/// Runs `task` on the calling thread beside a loop over [begin, end): the
+/// calling thread (the OpenMP master) runs task() while the rest of the team
+/// takes fn(i) under a dynamic schedule, and the caller joins the loop once
+/// task() returns.  For serial work that must stay on the calling thread —
+/// e.g. filling a buffer that should come from the caller's malloc arena —
+/// overlapped with independent per-index work.  Exceptions are captured as
+/// in parallel_for_ex; the first one is rethrown after both sides finish.
+/// Below `grain`, with one thread, without OpenMP, or inside a parallel
+/// region it runs task() and then the loop serially.
+template <typename Task, typename Fn>
+void parallel_for_beside(Task&& task, std::size_t begin, std::size_t end,
+                         Fn&& fn, std::size_t grain) {
+  std::exception_ptr eptr = nullptr;
+  Mutex mutex;  // guards eptr across the team
+  auto guarded = [&](auto&& body) {
+    try {
+      body();
+    } catch (...) {
+      LockGuard lock(mutex);
+      if (!eptr) eptr = std::current_exception();
+    }
+  };
+  auto run_index = [&](std::size_t i) { guarded([&] { fn(i); }); };
+  bool team = false;
+#if defined(_OPENMP)
+  team = end - begin >= grain && omp_get_max_threads() > 1 && !in_parallel();
+  if (team) {
+    const std::ptrdiff_t b = static_cast<std::ptrdiff_t>(begin);
+    const std::ptrdiff_t e = static_cast<std::ptrdiff_t>(end);
+#pragma omp parallel
+    {
+      if (omp_get_thread_num() == 0) guarded(task);
+#pragma omp for schedule(dynamic, 1)
+      for (std::ptrdiff_t i = b; i < e; ++i) {
+        run_index(static_cast<std::size_t>(i));
+      }
+    }
+  }
+#else
+  (void)grain;
+#endif
+  if (!team) {
+    guarded(task);
+    for (std::size_t i = begin; i < end; ++i) run_index(i);
+  }
+  if (eptr) std::rethrow_exception(eptr);
+}
+
 }  // namespace ipcomp

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "ipcomp.hpp"
 #include "test_util.hpp"
 
@@ -297,6 +299,110 @@ TEST(Progressive, FloatArchiveProgressive) {
       8.0 * testutil::value_range(field.const_view()) *
       std::numeric_limits<float>::epsilon();
   EXPECT_LE(linf(field.const_view(), reader.data()), 1e-5 + ulp_slack);
+}
+
+// ---- first execute() on a 32 MiB field ------------------------------------
+//
+// 256x128x128 f64 is exactly 32 MiB, the smallest field buffer whose first
+// execute() fills the field on the calling thread beside the block decode.
+// Each test compresses once and reads at 1, 2 and 8 OpenMP threads.
+
+Bytes fill_overlap_archive(bool integrity) {
+  auto field = smooth_field(Dims{256, 128, 128}, 15, /*noise=*/0.01);
+  EXPECT_EQ(field.count() * sizeof(double), std::size_t{32} << 20);
+  Options opt;
+  opt.error_bound = 1e-6;
+  opt.block_side = 32;
+  opt.integrity = integrity;
+  return compress(field.const_view(), opt);
+}
+
+constexpr int kFillThreads[] = {1, 2, 8};
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(ProgressiveFirstExecute, FullAndRegionFirstThreadInvariant) {
+  const Bytes archive = fill_overlap_archive(/*integrity=*/true);
+  // Unaligned box over 2x2x2 blocks: enough blocks for the overlap to run.
+  const Request region = Request::full().within({40, 10, 70}, {90, 50, 100});
+  std::vector<double> full_ref, region_ref;
+  for (int threads : kFillThreads) {
+    testutil::ScopedThreads scoped(threads);
+    MemorySource full_src{Bytes(archive)};
+    ProgressiveReader<double> full(full_src);
+    full.retrieve(Request::full());
+
+    MemorySource region_src{Bytes(archive)};
+    ProgressiveReader<double> part(region_src);
+    const RetrievalPlan plan = part.plan(region);
+    ASSERT_EQ(plan.blocks.size(), 8u);
+    part.execute(plan);
+
+    if (full_ref.empty()) {
+      full_ref = full.data();
+      region_ref = part.data();
+      // Planned blocks hold exactly the full read's values; every other
+      // element is still the fill's +0.0.
+      const BlockGrid& grid = part.block_grid();
+      std::vector<bool> planned(grid.n_blocks, false);
+      for (std::uint32_t b : plan.blocks) planned[b] = true;
+      const Dims dims = part.header().dims;
+      const std::size_t side = grid.block_side;
+      std::size_t outside = 0;
+      for (std::size_t z = 0, i = 0; z < dims[0]; ++z) {
+        for (std::size_t y = 0; y < dims[1]; ++y) {
+          for (std::size_t x = 0; x < dims[2]; ++x, ++i) {
+            const std::size_t b =
+                ((z / side) * grid.grid[1] + y / side) * grid.grid[2] +
+                x / side;
+            const double want = planned[b] ? full_ref[i] : 0.0;
+            if (std::memcmp(&region_ref[i], &want, sizeof(double)) != 0) {
+              FAIL() << "element " << i << " of block " << b;
+            }
+            outside += planned[b] ? 0 : 1;
+          }
+        }
+      }
+      EXPECT_EQ(outside, dims.count() - 8 * side * side * side);
+    } else {
+      EXPECT_TRUE(bitwise_equal(full.data(), full_ref)) << threads;
+      EXPECT_TRUE(bitwise_equal(part.data(), region_ref)) << threads;
+    }
+  }
+}
+
+TEST(ProgressiveFirstExecute, ForgedPlaneBehindChecksumlessSourceThrows) {
+  Bytes archive = fill_overlap_archive(/*integrity=*/false);
+  const ArchiveIndex idx =
+      ArchiveIndex::parse({archive.data(), archive.size()}, archive.size());
+  ASSERT_FALSE(idx.has_checksums);
+  // An unknown codec method tag on the top plane of the first and the last
+  // block: whichever thread decodes them, the error must surface.
+  std::size_t forged = 0;
+  std::uint32_t last_block = 0;
+  for (const auto& [key, e] : idx.entries) {
+    last_block =
+        std::max(last_block, SegmentId::from_key(key, idx.version).block);
+  }
+  for (const auto& [key, e] : idx.entries) {
+    const SegmentId id = SegmentId::from_key(key, idx.version);
+    if (id.kind == kSegPlane && id.level == 1 &&
+        (id.block == 0 || id.block == last_block) && e.length > 0) {
+      archive[e.offset] = 0xEE;
+      ++forged;
+    }
+  }
+  ASSERT_GT(forged, 0u);
+  for (int threads : kFillThreads) {
+    testutil::ScopedThreads scoped(threads);
+    MemorySource src{Bytes(archive)};
+    ProgressiveReader<double> reader(src);
+    EXPECT_THROW(reader.retrieve(Request::full()), std::runtime_error)
+        << threads;
+  }
 }
 
 }  // namespace
