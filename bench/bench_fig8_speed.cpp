@@ -140,19 +140,46 @@ FetchStats fetch_sweep(const Bytes& archive, const char* path) {
   return fs;
 }
 
-template <typename Fn>
-StageResult median_of(int reps, std::size_t raw_bytes, Fn&& fn) {
+/// Median of `reps` runs of `run`, which returns the seconds it timed.
+template <typename Run>
+StageResult median_timed(int reps, std::size_t raw_bytes, Run&& run) {
   std::vector<double> t(static_cast<std::size_t>(reps));
-  for (auto& s : t) {
-    Timer timer;
-    fn();
-    s = timer.seconds();
-  }
+  for (auto& s : t) s = run();
   std::sort(t.begin(), t.end());
   StageResult r;
   r.seconds = t[t.size() / 2];
   r.mb_per_s = mb_per_s(raw_bytes, r.seconds);
   return r;
+}
+
+template <typename Fn>
+StageResult median_of(int reps, std::size_t raw_bytes, Fn&& fn) {
+  return median_timed(reps, raw_bytes, [&] {
+    Timer timer;
+    fn();
+    return timer.seconds();
+  });
+}
+
+/// Stepwise refinement of an archive: each repetition opens a fresh reader,
+/// reads it coarse (1e3 x eb, untimed first touch), then times the ladder
+/// 1e2 x eb -> 8 x eb -> full, where every request rebuilds the blocks that
+/// received planes.
+StageResult refine_stage(int reps, std::size_t raw_bytes, const Bytes& archive,
+                         double& sink) {
+  return median_timed(reps, raw_bytes, [&] {
+    MemorySource src{Bytes(archive)};
+    ProgressiveReader<double> reader(src);
+    const double eb = reader.compression_eb();
+    reader.retrieve(Request::error_bound(1e3 * eb));
+    Timer timer;
+    reader.retrieve(Request::error_bound(1e2 * eb));
+    reader.retrieve(Request::error_bound(8 * eb));
+    reader.retrieve(Request::full());
+    const double seconds = timer.seconds();
+    sink += reader.data()[0];
+    return seconds;
+  });
 }
 
 /// Bitplane-engine throughput on one backend's code profile: plane extract
@@ -332,6 +359,7 @@ int block_compare(const char* json_path, int reps) {
     benchmark::DoNotOptimize(fresh.data());
     benchmark::ClobberMemory();
   });
+  StageResult refine = refine_stage(reps, raw, archive_block, sink);
   StageResult d_wavelet = median_of(reps, raw, [&] {
     MemorySource src{Bytes(archive_wavelet)};
     ProgressiveReader<double> reader(src);
@@ -404,6 +432,8 @@ int block_compare(const char* json_path, int reps) {
               d_block.mb_per_s);
   std::printf("%-20s %12.3f %12.1f\n", "field fill", fill.seconds,
               fill.mb_per_s);
+  std::printf("%-20s %12.3f %12.1f\n", "refine block", refine.seconds,
+              refine.mb_per_s);
   std::printf("%-20s %12.3f %12.1f\n", "decompress wavelet", d_wavelet.seconds,
               d_wavelet.mb_per_s);
   std::printf("\nratio: legacy %.2f, block %.2f, wavelet %.2f\n", ratio_legacy,
@@ -459,7 +489,8 @@ int block_compare(const char* json_path, int reps) {
                  "    \"bound_scan\": {\"seconds\": %.6f, \"mb_per_s\": %.2f},\n"
                  "    \"decompress_legacy\": {\"seconds\": %.6f, \"mb_per_s\": %.2f},\n"
                  "    \"decompress_block\": {\"seconds\": %.6f, \"mb_per_s\": %.2f},\n"
-                 "    \"field_fill\": {\"seconds\": %.6f, \"mb_per_s\": %.2f}\n"
+                 "    \"field_fill\": {\"seconds\": %.6f, \"mb_per_s\": %.2f},\n"
+                 "    \"refine\": {\"seconds\": %.6f, \"mb_per_s\": %.2f}\n"
                  "  },\n"
                  "  \"compression_ratio\": {\"legacy\": %.4f, \"block\": %.4f},\n"
                  "  \"speedup\": {\"compress\": %.4f, \"decompress\": %.4f},\n"
@@ -505,7 +536,7 @@ int block_compare(const char* json_path, int reps) {
                  c_block.mb_per_s, scan.seconds, scan.mb_per_s,
                  d_legacy.seconds, d_legacy.mb_per_s,
                  d_block.seconds, d_block.mb_per_s, fill.seconds, fill.mb_per_s,
-                 ratio_legacy, ratio_block,
+                 refine.seconds, refine.mb_per_s, ratio_legacy, ratio_block,
                  speedup_c, speedup_d,
                  cc.segments, cc.raw_bytes, cc.method_counts[0],
                  cc.method_counts[1], cc.method_counts[2], cc.method_counts[3],

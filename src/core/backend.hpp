@@ -74,7 +74,7 @@ inline bool block_outlier(const BlockCodes& bc, unsigned li, std::size_t slot,
 
 /// Thread contract: const-safe and stateless.  Implementations hold no
 /// mutable members, so one registered instance serves every thread; the
-/// compress/reconstruct/refine hooks run concurrently across blocks and
+/// compress/reconstruct hooks run concurrently across blocks and
 /// across independent compressions, and must stay reentrant (block-local
 /// scratch only — see compress_block).
 class ProgressiveBackend {
@@ -91,11 +91,6 @@ class ProgressiveBackend {
   /// Whether blocks carry an auxiliary segment (kSegAux, plane 0, level 0)
   /// that must be fetched with the base segments.
   virtual bool has_aux_segment() const = 0;
-
-  /// Whether refine() consumes the per-level delta code arrays.  Backends
-  /// that rebuild from the updated codes return false and the reader skips
-  /// assembling the deltas (one allocation + deposit pass per plane).
-  virtual bool wants_delta() const { return true; }
 
   /// Opaque metadata stored in v3 headers (empty for v1/v2 backends).
   virtual Bytes metadata(const Header& h) const = 0;
@@ -126,24 +121,14 @@ class ProgressiveBackend {
       const std::array<std::size_t, kMaxRank>& estrides, double eb,
       const Options& opt, std::uint32_t block) const = 0;
 
-  /// First reconstruction of one block from its (partial) codes, written
-  /// into the enclosing field at the block's strided span.
+  /// Reconstruction of one block from its (partial) codes into the block's
+  /// strided span of the enclosing field, on first touch and again after
+  /// new planes arrive.  The result must depend only on `bc`, never on what
+  /// the span held, so stepwise retrieval equals a one-shot read.
   virtual void reconstruct(const Header& h, const BlockCodes& bc,
                            float* field) const = 0;
   virtual void reconstruct(const Header& h, const BlockCodes& bc,
                            double* field) const = 0;
-
-  /// Incremental refinement after new planes were deposited into bc.codes.
-  /// `delta[li]` holds exactly the newly added code bits (empty vector =
-  /// nothing new at that level; the whole vector is empty when wants_delta()
-  /// is false).  Must leave the block's span of `field` in (numerically
-  /// near-)identical state to a fresh reconstruct() from the updated codes.
-  virtual void refine(const Header& h, const BlockCodes& bc,
-                      const std::vector<std::vector<std::uint32_t>>& delta,
-                      float* field) const = 0;
-  virtual void refine(const Header& h, const BlockCodes& bc,
-                      const std::vector<std::vector<std::uint32_t>>& delta,
-                      double* field) const = 0;
 };
 
 /// Registry lookup; throws std::runtime_error for an unregistered id.

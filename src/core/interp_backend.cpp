@@ -111,8 +111,9 @@ BlockCompressResult compress_impl(const T* original, const Dims& block_dims,
   return out;
 }
 
-/// First reconstruction: a full sweep from the (partial) codes, outliers
-/// restored exactly (Algorithm 1).
+/// Reconstruction: a full sweep from the (partial) codes, outliers restored
+/// exactly (Algorithm 1).  It writes every point before any prediction reads
+/// it, so refinements rerun it and match a one-shot read bit for bit.
 template <typename T>
 void reconstruct_impl(const Header& h, const BlockCodes& bc, T* field) {
   const LevelStructure ls = LevelStructure::analyze(bc.dims);
@@ -124,43 +125,6 @@ void reconstruct_impl(const Header& h, const BlockCodes& bc, T* field) {
         if (block_outlier(bc, li, slot, raw)) return static_cast<T>(raw);
         return quant.dequantize(pred, negabinary_decode(bc.codes[li][slot]));
       });
-}
-
-/// Refinement: sweep only the newly added code bits into a block-local
-/// dense delta buffer, then add it onto the block's strided span of the
-/// field — the cost stays proportional to the block, not the field (matters
-/// for region-scoped requests).  Always swept in double so incremental refinement of
-/// float archives loses at most one rounding at the final addition.
-template <typename T>
-void refine_impl(const Header& h, const BlockCodes& bc,
-                 const std::vector<std::vector<std::uint32_t>>& delta,
-                 T* field) {
-  const LevelStructure ls = LevelStructure::analyze(bc.dims);
-  const double step = 2.0 * h.eb;
-  // The sweep writes every point before any prediction reads it, so the
-  // buffer needs no zero fill.
-  const auto dblock = std::make_unique_for_overwrite<double[]>(ls.dims.count());
-  interpolation_sweep(
-      dblock.get(), ls, h.interp,
-      [&](unsigned li, std::size_t slot, std::size_t /*idx*/,
-          double pred) -> double {
-        double raw;
-        if (block_outlier(bc, li, slot, raw)) return 0.0;  // outliers are exact
-        if (delta[li].empty()) {
-          return pred;  // no new bits at this level
-        }
-        const double dy =
-            static_cast<double>(negabinary_decode(delta[li][slot])) * step;
-        return pred + dy;
-      });
-
-  for_each_block_row(bc.dims, h.dims.strides(), field + bc.origin,
-                     [&](T* dst, std::size_t src0, std::size_t row) {
-    const double* src = dblock.get() + src0;
-    for (std::size_t i = 0; i < row; ++i) {
-      dst[i] = static_cast<T>(static_cast<double>(dst[i]) + src[i]);
-    }
-  });
 }
 
 }  // namespace
@@ -199,18 +163,6 @@ void InterpBackend::reconstruct(const Header& h, const BlockCodes& bc,
 void InterpBackend::reconstruct(const Header& h, const BlockCodes& bc,
                                 double* field) const {
   reconstruct_impl(h, bc, field);
-}
-
-void InterpBackend::refine(const Header& h, const BlockCodes& bc,
-                           const std::vector<std::vector<std::uint32_t>>& delta,
-                           float* field) const {
-  refine_impl(h, bc, delta, field);
-}
-
-void InterpBackend::refine(const Header& h, const BlockCodes& bc,
-                           const std::vector<std::vector<std::uint32_t>>& delta,
-                           double* field) const {
-  refine_impl(h, bc, delta, field);
 }
 
 }  // namespace ipcomp

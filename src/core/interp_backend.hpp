@@ -3,8 +3,8 @@
 // Write side: multi-level interpolation sweep with in-loop quantization
 // (paper §4.1/§4.2) producing per-level negabinary codes + outliers, then the
 // shared bitplane/codec stages.  Read side: the same sweep driven by
-// dequantized codes (Algorithm 1), and a delta sweep over newly deposited
-// bits for incremental refinement (Algorithm 2).  This backend is the
+// dequantized codes (Algorithm 1), rerun from the accumulated codes whenever
+// new bitplanes arrive (Algorithm 2's refinement).  This backend is the
 // behavior-preserving refactor of the original hardwired pipeline: archives
 // are byte-identical to those written before the seam existed (v1/v2).
 #pragma once
@@ -38,12 +38,6 @@ class InterpBackend final : public ProgressiveBackend {
                    float* field) const override;
   void reconstruct(const Header& h, const BlockCodes& bc,
                    double* field) const override;
-  void refine(const Header& h, const BlockCodes& bc,
-              const std::vector<std::vector<std::uint32_t>>& delta,
-              float* field) const override;
-  void refine(const Header& h, const BlockCodes& bc,
-              const std::vector<std::vector<std::uint32_t>>& delta,
-              double* field) const override;
 };
 
 }  // namespace ipcomp

@@ -221,19 +221,14 @@ void ProgressiveReader<T>::plan_block_planes(
 }
 
 template <typename T>
-std::vector<std::vector<std::uint32_t>> ProgressiveReader<T>::decode_planes(
-    std::size_t b, FetchedBlock& fetched) {
+void ProgressiveReader<T>::decode_planes(std::size_t b, FetchedBlock& fetched) {
   BlockState& bs = blocks_[b];
   const auto& levels = levels_of(b);
-  std::vector<std::vector<std::uint32_t>> delta;
-  if (bs.have_recon && !fetched.planes.empty() && backend_->wants_delta()) {
-    delta.resize(levels.size());
-  }
 
   // All newly fetched planes of a level go through one batch: decompress,
   // predictive-decode MSB-first on the packed buffers, then a single
-  // multi-plane transpose deposit into the codes (and delta) instead of one
-  // full pass per plane.  Only the compressed segments are grouped up front;
+  // multi-plane transpose deposit into the codes instead of one full pass
+  // per plane.  Only the compressed segments are grouped up front;
   // decoded plane buffers live one level at a time.
   std::vector<std::vector<std::pair<unsigned, Bytes>>> by_level(levels.size());
   for (auto& [li, k, seg] : fetched.planes) {
@@ -262,36 +257,12 @@ std::vector<std::vector<std::uint32_t>> ProgressiveReader<T>::decode_planes(
       spans[i] = {newp[i].first, {newp[i].second.data(), newp[i].second.size()}};
     }
     deposit_planes(bs.bc.codes[li], spans);
-    if (!delta.empty()) {
-      delta[li].assign(lh.count, 0);
-      deposit_planes(delta[li], spans);
-    }
     bs.planes_used[li] =
         std::max(bs.planes_used[li], lh.n_planes - newp.back().first);
     // Release this level's decoded plane buffers before the next level's
     // are inflated: transient memory stays one level deep.
     std::vector<std::pair<unsigned, Bytes>>().swap(newp);
   }
-  return delta;
-}
-
-template <typename T>
-void ProgressiveReader<T>::reconstruct_block(std::size_t b) {
-  BlockState& bs = blocks_[b];
-  backend_->reconstruct(header_, bs.bc, xhat_.data());
-  bs.have_recon = true;
-}
-
-template <typename T>
-void ProgressiveReader<T>::decode_and_reconstruct(std::size_t b,
-                                                  FetchedBlock& fetched) {
-  const auto delta = decode_planes(b, fetched);
-  if (!blocks_[b].have_recon) {
-    reconstruct_block(b);
-    return;
-  }
-  if (fetched.planes.empty()) return;
-  backend_->refine(header_, blocks_[b].bc, delta, xhat_.data());
 }
 
 template <typename T>
@@ -606,6 +577,19 @@ RetrievalStats ProgressiveReader<T>::execute(const RetrievalPlan& p) {
   // Block passes run concurrently across blocks, each block's inner loops
   // serial (nested-parallelism guard), so output is deterministic.  A block's
   // base decodes before its planes (plane decoding reads the base codes).
+  // A block is rebuilt from its codes on first touch and whenever it
+  // received planes; the others keep their values.
+  auto decode = [&](std::size_t i) {
+    const std::size_t b = p.blocks[i];
+    if (fetched[b].has_base) decode_base(b, fetched[b]);
+    decode_planes(b, fetched[b]);
+  };
+  auto rebuild = [&](std::size_t i) {
+    BlockState& bs = blocks_[p.blocks[i]];
+    if (bs.have_recon && fetched[p.blocks[i]].planes.empty()) return;
+    backend_->reconstruct(header_, bs.bc, xhat_.data());
+    bs.have_recon = true;
+  };
   const std::size_t field_bytes = header_.dims.count() * sizeof(T);
   if (xhat_.empty() && field_bytes >= kOverlapFillBytes) {
     // First execute on a large field: the calling thread value-initializes
@@ -614,31 +598,21 @@ RetrievalStats ProgressiveReader<T>::execute(const RetrievalPlan& p) {
     // xhat_; then all blocks reconstruct.  One-block archives fall below the
     // grain and run fill, decode, reconstruct in order with inner
     // parallelism.
-    parallel_for_beside(
-        [&] { xhat_.assign(header_.dims.count(), T{}); }, 0, p.blocks.size(),
-        [&](std::size_t i) {
-          const std::size_t b = p.blocks[i];
-          if (fetched[b].has_base) decode_base(b, fetched[b]);
-          decode_planes(b, fetched[b]);
-        },
-        /*grain=*/2);
-    parallel_for_ex(0, p.blocks.size(), [&](std::size_t i) {
-      reconstruct_block(p.blocks[i]);
-    }, /*grain=*/2);
+    parallel_for_beside([&] { xhat_.assign(header_.dims.count(), T{}); }, 0,
+                        p.blocks.size(), decode, /*grain=*/2);
+    parallel_for_ex(0, p.blocks.size(), rebuild, /*grain=*/2);
   } else {
     if (xhat_.empty()) xhat_.assign(header_.dims.count(), T{});
-    parallel_for_ex(0, grid_.n_blocks, [&](std::size_t b) {
-      if (fetched[b].has_base) decode_base(b, fetched[b]);
-    }, /*grain=*/2);
     parallel_for_ex(0, p.blocks.size(), [&](std::size_t i) {
-      decode_and_reconstruct(p.blocks[i], fetched[p.blocks[i]]);
+      decode(i);
+      rebuild(i);
     }, /*grain=*/2);
   }
 
   if (!p.region_scoped) {
     // plane_targets was clamped against the floor at plan time, so this only
     // ever raises the uniform floor.  Region plans advance individual blocks
-    // (tracked per block in decode_and_reconstruct), never the floor.
+    // (tracked per block in decode_planes), never the floor.
     planes_used_ = p.plane_targets;
   }
   RetrievalStats st = finish_stats(before);

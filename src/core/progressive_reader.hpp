@@ -11,10 +11,10 @@
 //   * execute(plan) fetches exactly the planned segments through a single
 //     SegmentSource::read_many call (FileSource coalesces adjacent ranges
 //     into bulk reads) and hands the new bits to the archive's
-//     ProgressiveBackend: a full backend reconstruction from the partial
-//     codes on a block's first touch (Algorithm 1), incremental refinement
-//     afterwards (Algorithm 2 for the interpolation backend; transform
-//     backends may simply rebuild the block).
+//     ProgressiveBackend: every block that received segments is rebuilt
+//     from its accumulated partial codes (Algorithm 1 on first touch,
+//     Algorithm 2's refinement afterwards), so a stepwise retrieval ends
+//     bitwise equal to a one-shot read of the same planes.
 // retrieve(Request) is the one-call combinator (execute(plan(req))).  The
 // legacy request_* spellings of the same thing were deprecated and have been
 // removed; build a Request instead.
@@ -110,7 +110,9 @@ class ProgressiveReader {
   /// overlaps that fill with the block decode: the calling thread
   /// value-initializes the field while the rest of the OpenMP team decodes
   /// each planned block's base and planes, and then every planned block
-  /// reconstructs.  Every later execute() decodes and refines block by block.
+  /// reconstructs.  Every later execute() decodes each block's new planes
+  /// and rebuilds that block from its accumulated codes; blocks that
+  /// received nothing keep their values.
   RetrievalStats execute(const RetrievalPlan& plan);
 
   /// One-call retrieval: execute(plan(req)).  The Request factories cover
@@ -170,17 +172,9 @@ class ProgressiveReader {
   }
 
   void decode_base(std::size_t b, FetchedBlock& fetched);
-  /// Code phase: decode the block's fetched planes into its codes.  Returns
-  /// the per-level code deltas a refine folds in (empty unless the block is
-  /// already reconstructed and the backend wants deltas).  Never touches
-  /// xhat_.
-  std::vector<std::vector<std::uint32_t>> decode_planes(std::size_t b,
-                                                        FetchedBlock& fetched);
-  /// First-touch backend call: full reconstruct of block `b` into xhat_.
-  void reconstruct_block(std::size_t b);
-  /// decode_planes, then hand the block to the backend (full reconstruct on
-  /// first touch, refine afterwards).
-  void decode_and_reconstruct(std::size_t b, FetchedBlock& fetched);
+  /// Code phase: deposit the block's fetched planes into its codes.  Never
+  /// touches xhat_.
+  void decode_planes(std::size_t b, FetchedBlock& fetched);
   std::vector<LevelPlanInput> planner_inputs() const;
   RetrievalStats finish_stats(std::size_t before);
   /// Per-block plane targets for a plan-axis entry: `axis[li]` planes from
@@ -218,10 +212,9 @@ class ProgressiveReader {
   // ---- retrieval state --------------------------------------------------
   // Everything below `src_`/`cfg_` is the externally-synchronized mutable
   // state of the class contract above: written only by the constructor and
-  // execute() (via decode_base / decode_planes / reconstruct_block /
-  // decode_and_reconstruct), read by plan() and the const accessors.  No
-  // member function writes any of it from a const path — that is what keeps
-  // concurrent plan() calls pure.
+  // execute() (via decode_base / decode_planes), read by plan() and the
+  // const accessors.  No member function writes any of it
+  // from a const path — that is what keeps concurrent plan() calls pure.
   SegmentSource& src_;
   ReaderConfig cfg_;
   const ProgressiveBackend* backend_ = nullptr;

@@ -1,8 +1,11 @@
 #include "io/archive.hpp"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 #include "util/checksum.hpp"
 
@@ -251,6 +254,23 @@ class File {
   File& operator=(const File&) = delete;
   std::FILE* get() const { return f_; }
 
+  /// Flushes and closes; false when buffered data could not be written
+  /// (a full device may accept fwrite and fail only here).
+  bool close() {
+    const bool flushed = std::fflush(f_) == 0;
+    return std::fclose(std::exchange(f_, nullptr)) == 0 && flushed;
+  }
+
+  /// Size of a regular file.  A directory opens fine but seeking to its end
+  /// reports a bogus huge size, so anything else is rejected.
+  std::size_t size(const std::string& path) const {
+    struct stat st {};
+    if (::fstat(::fileno(f_), &st) != 0 || !S_ISREG(st.st_mode)) {
+      throw std::runtime_error("not a regular file: " + path);
+    }
+    return static_cast<std::size_t>(st.st_size);
+  }
+
  private:
   std::FILE* f_;
 };
@@ -259,13 +279,11 @@ class File {
 
 FileSource::FileSource(std::string path) : path_(std::move(path)) {
   File f(path_, "rb");
-  std::fseek(f.get(), 0, SEEK_END);
-  file_size_ = static_cast<std::size_t>(std::ftell(f.get()));
+  file_size_ = f.size(path_);
   // The index prefix (magic/version/header/table) precedes all payloads; read
   // a bounded prefix large enough to hold it.  Headers carry per-plane size
   // tables and stay in the tens of kilobytes.
   std::size_t prefix = std::min<std::size_t>(file_size_, std::size_t{1} << 22);
-  std::fseek(f.get(), 0, SEEK_SET);
   Bytes head(prefix);
   if (std::fread(head.data(), 1, prefix, f.get()) != prefix) {
     throw std::runtime_error("archive: short read of index prefix");
@@ -384,13 +402,12 @@ void write_file(const std::string& path, const Bytes& data) {
   if (!data.empty() && std::fwrite(data.data(), 1, data.size(), f.get()) != data.size()) {
     throw std::runtime_error("cannot write file: " + path);
   }
+  if (!f.close()) throw std::runtime_error("cannot write file: " + path);
 }
 
 Bytes read_file(const std::string& path) {
   File f(path, "rb");
-  std::fseek(f.get(), 0, SEEK_END);
-  std::size_t n = static_cast<std::size_t>(std::ftell(f.get()));
-  std::fseek(f.get(), 0, SEEK_SET);
+  const std::size_t n = f.size(path);
   Bytes out(n);
   if (n > 0 && std::fread(out.data(), 1, n, f.get()) != n) {
     throw std::runtime_error("cannot read file: " + path);

@@ -404,19 +404,4 @@ void WaveletBackend::reconstruct(const Header& h, const BlockCodes& bc,
   reconstruct_impl(h, bc, field);
 }
 
-void WaveletBackend::refine(const Header& h, const BlockCodes& bc,
-                            const std::vector<std::vector<std::uint32_t>>&,
-                            float* field) const {
-  // Rebuilding from the updated codes costs the same as a delta transform
-  // (inverse cost is sparsity-independent) and is drift-free: stepwise
-  // retrieval ends bitwise identical to a one-shot request.
-  reconstruct_impl(h, bc, field);
-}
-
-void WaveletBackend::refine(const Header& h, const BlockCodes& bc,
-                            const std::vector<std::vector<std::uint32_t>>&,
-                            double* field) const {
-  reconstruct_impl(h, bc, field);
-}
-
 }  // namespace ipcomp

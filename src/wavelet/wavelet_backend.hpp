@@ -31,7 +31,6 @@ class WaveletBackend final : public ProgressiveBackend {
 
   std::vector<std::uint64_t> level_counts(const Dims& block_dims) const override;
   bool has_aux_segment() const override { return true; }
-  bool wants_delta() const override { return false; }
   Bytes metadata(const Header& h) const override;
   void validate_metadata(const Header& h) const override;
   double amplification(const Header& h, ErrorModel model,
@@ -50,12 +49,6 @@ class WaveletBackend final : public ProgressiveBackend {
                    float* field) const override;
   void reconstruct(const Header& h, const BlockCodes& bc,
                    double* field) const override;
-  void refine(const Header& h, const BlockCodes& bc,
-              const std::vector<std::vector<std::uint32_t>>& delta,
-              float* field) const override;
-  void refine(const Header& h, const BlockCodes& bc,
-              const std::vector<std::vector<std::uint32_t>>& delta,
-              double* field) const override;
 };
 
 }  // namespace ipcomp

@@ -231,6 +231,26 @@ TEST(Archive, FileRoundTripHelpers) {
   EXPECT_THROW(read_file(path), std::runtime_error);
 }
 
+TEST(Archive, WriteFileReportsBufferedWriteFailure) {
+  // /dev/full accepts open and buffered writes and fails on flush: a small
+  // write only errors at close, a large one already in fwrite.
+  if (std::FILE* probe = std::fopen("/dev/full", "wb")) {
+    std::fclose(probe);
+  } else {
+    GTEST_SKIP() << "/dev/full unavailable";
+  }
+  EXPECT_THROW(write_file("/dev/full", Bytes(10, 1)), std::runtime_error);
+  EXPECT_THROW(write_file("/dev/full", Bytes(100000, 1)), std::runtime_error);
+}
+
+TEST(Archive, DirectoryIsNotAFile) {
+  // A directory opens for reading but reports a bogus huge size; it must be
+  // a clean runtime_error, not an allocation of that size.
+  const std::string dir = ::testing::TempDir();
+  EXPECT_THROW(read_file(dir), std::runtime_error);
+  EXPECT_THROW(FileSource{dir}, std::runtime_error);
+}
+
 TEST(Archive, ManySegmentsIndexedCorrectly) {
   ArchiveBuilder b;
   b.set_header({});

@@ -166,9 +166,8 @@ TEST(MmapSource, ReaderOverMmapMatchesFileReader) {
 
 // ---- loopback client/server -----------------------------------------------
 
-/// The mixed request sequence every identity test replays on both sides
-/// (byte-identity holds per-sequence: float accumulation differs across
-/// different refinement paths, local or remote alike).
+/// The mixed request sequence every identity test replays on both sides;
+/// the states after each request are compared, not only the final one.
 std::vector<Request> mixed_traffic() {
   return {
       Request::error_bound(1e-2),

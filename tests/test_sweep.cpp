@@ -1,12 +1,77 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "interp/sweep.hpp"
+#include "test_util.hpp"
 #include "util/rng.hpp"
 
 namespace ipcomp {
 namespace {
+
+using testutil::ScopedThreads;
+
+constexpr int kSweepThreads[] = {1, 2, 8};
+
+/// Reference: the sweep in pass order, one line at a time along each pass's
+/// dimension (serial).  The plane-major sweep must match it bit for bit.
+template <typename T, typename Visitor>
+void line_major_sweep(T* data, const LevelStructure& ls, InterpKind kind,
+                      Visitor&& visit) {
+  const Dims& dims = ls.dims;
+  const auto estrides = dims.strides();
+  const unsigned rank = static_cast<unsigned>(dims.rank());
+  const unsigned L = ls.num_levels;
+  data[0] = visit(L - 1, 0, 0, static_cast<T>(0));
+  for (unsigned l = L; l >= 1; --l) {
+    for (const DimPass& p : ls.passes[l - 1]) {
+      const unsigned t = p.dim;
+      const std::size_t s = std::size_t{1} << (l - 1);
+      const std::size_t n_t = dims[t];
+      const std::size_t est = estrides[t];
+      const std::size_t sst = s * est;
+      const std::size_t s3 = 3 * sst;
+      const std::size_t targets_per_line = p.count[t];
+      std::size_t radix[kMaxRank] = {};
+      std::size_t rstride[kMaxRank] = {};
+      std::size_t n_lines = 1;
+      unsigned n_digits = 0;
+      for (unsigned j = 0; j < rank; ++j) {
+        if (j == t) continue;
+        std::size_t g = (j < t) ? s : 2 * s;
+        radix[n_digits] = (dims[j] - 1) / g + 1;
+        rstride[n_digits] = estrides[j] * g;
+        n_lines *= radix[n_digits];
+        ++n_digits;
+      }
+      for (std::size_t line = 0; line < n_lines; ++line) {
+        std::size_t rem = line;
+        std::size_t base = 0;
+        for (unsigned d = n_digits; d-- > 0;) {
+          base += (rem % radix[d]) * rstride[d];
+          rem /= radix[d];
+        }
+        std::size_t slot = p.slot_offset + line * targets_per_line;
+        std::size_t c = s;
+        std::size_t idx = base + c * est;
+        for (std::size_t k = 0; k < targets_per_line;
+             ++k, c += 2 * s, idx += 2 * sst, ++slot) {
+          T pred;
+          if (kind == InterpKind::kCubic && c >= 3 * s && c + 3 * s < n_t) {
+            pred = interp_cubic(data[idx - s3], data[idx - sst],
+                                data[idx + sst], data[idx + s3]);
+          } else if (c + s < n_t) {
+            pred = interp_linear(data[idx - sst], data[idx + sst]);
+          } else {
+            pred = data[idx - sst];
+          }
+          data[idx] = visit(l - 1, slot, idx, pred);
+        }
+      }
+    }
+  }
+}
 
 class SweepShapes : public ::testing::TestWithParam<Dims> {};
 
@@ -19,25 +84,30 @@ TEST_P(SweepShapes, SlotsPartitionAllPoints) {
 TEST_P(SweepShapes, EveryPointVisitedExactlyOnce) {
   const Dims dims = GetParam();
   auto ls = LevelStructure::analyze(dims);
-  std::vector<int> visits(dims.count(), 0);
-  std::vector<std::set<std::size_t>> slots(ls.num_levels);
-  std::vector<double> data(dims.count(), 0.0);
-  std::mutex m;
-  interpolation_sweep(data.data(), ls, InterpKind::kLinear,
-                      [&](unsigned li, std::size_t slot, std::size_t idx, double) {
-                        std::lock_guard<std::mutex> lock(m);
-                        ++visits[idx];
-                        EXPECT_TRUE(slots[li].insert(slot).second)
-                            << "duplicate slot " << slot << " level " << li;
-                        return 0.0;
-                      });
-  for (std::size_t i = 0; i < visits.size(); ++i) {
-    EXPECT_EQ(visits[i], 1) << "idx " << i;
-  }
-  for (unsigned li = 0; li < ls.num_levels; ++li) {
-    EXPECT_EQ(slots[li].size(), ls.level_count[li]);
-    if (!slots[li].empty()) {
-      EXPECT_EQ(*slots[li].rbegin(), ls.level_count[li] - 1);
+  for (int threads : kSweepThreads) {
+    SCOPED_TRACE(threads);
+    ScopedThreads pin(threads);
+    std::vector<int> visits(dims.count(), 0);
+    std::vector<std::set<std::size_t>> slots(ls.num_levels);
+    std::vector<double> data(dims.count(), 0.0);
+    std::mutex m;
+    interpolation_sweep(
+        data.data(), ls, InterpKind::kLinear,
+        [&](unsigned li, std::size_t slot, std::size_t idx, double) {
+          std::lock_guard<std::mutex> lock(m);
+          ++visits[idx];
+          EXPECT_TRUE(slots[li].insert(slot).second)
+              << "duplicate slot " << slot << " level " << li;
+          return 0.0;
+        });
+    for (std::size_t i = 0; i < visits.size(); ++i) {
+      EXPECT_EQ(visits[i], 1) << "idx " << i;
+    }
+    for (unsigned li = 0; li < ls.num_levels; ++li) {
+      EXPECT_EQ(slots[li].size(), ls.level_count[li]);
+      if (!slots[li].empty()) {
+        EXPECT_EQ(*slots[li].rbegin(), ls.level_count[li] - 1);
+      }
     }
   }
 }
@@ -63,14 +133,91 @@ TEST_P(SweepShapes, PredictionsUseOnlyKnownPoints) {
   // NaN into `pred`, which the visitor detects.
   const Dims dims = GetParam();
   auto ls = LevelStructure::analyze(dims);
-  std::vector<double> data(dims.count(), std::numeric_limits<double>::quiet_NaN());
-  std::atomic<int> bad{0};
-  interpolation_sweep(data.data(), ls, InterpKind::kCubic,
-                      [&](unsigned, std::size_t, std::size_t, double pred) {
-                        if (std::isnan(pred)) ++bad;
-                        return 1.0;  // mark as known
-                      });
-  EXPECT_EQ(bad.load(), 0);
+  for (int threads : kSweepThreads) {
+    SCOPED_TRACE(threads);
+    ScopedThreads pin(threads);
+    std::vector<double> data(dims.count(),
+                             std::numeric_limits<double>::quiet_NaN());
+    std::atomic<int> bad{0};
+    interpolation_sweep(data.data(), ls, InterpKind::kCubic,
+                        [&](unsigned, std::size_t, std::size_t, double pred) {
+                          if (std::isnan(pred)) ++bad;
+                          return 1.0;  // mark as known
+                        });
+    EXPECT_EQ(bad.load(), 0);
+  }
+}
+
+TEST_P(SweepShapes, MatchesLineMajorReference) {
+  // Same visitor, same inputs: the plane-major sweep must write the same
+  // values and hand every point the same (level, slot) as pass order.
+  const Dims dims = GetParam();
+  auto ls = LevelStructure::analyze(dims);
+  Rng rng(7);
+  std::vector<double> original(dims.count());
+  for (auto& v : original) v = rng.uniform(-5, 5);
+  for (InterpKind kind : {InterpKind::kLinear, InterpKind::kCubic}) {
+    std::vector<double> want(dims.count());
+    std::vector<std::size_t> want_slot(dims.count());
+    line_major_sweep(want.data(), ls, kind,
+                     [&](unsigned li, std::size_t slot, std::size_t idx,
+                         double pred) {
+                       want_slot[idx] = slot * 8 + li;
+                       return 0.75 * pred + original[idx];
+                     });
+    for (int threads : kSweepThreads) {
+      SCOPED_TRACE(threads);
+      ScopedThreads pin(threads);
+      std::vector<double> got(dims.count());
+      std::vector<std::size_t> got_slot(dims.count());
+      interpolation_sweep(got.data(), ls, kind,
+                          [&](unsigned li, std::size_t slot, std::size_t idx,
+                              double pred) {
+                            got_slot[idx] = slot * 8 + li;
+                            return 0.75 * pred + original[idx];
+                          });
+      EXPECT_EQ(got_slot, want_slot) << to_string(kind);
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                               got.size() * sizeof(double)))
+          << to_string(kind);
+    }
+  }
+}
+
+TEST(Sweep, MatchesLineMajorReferenceOnRandomShapes) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t rank = 1 + rng.next_u64() % kMaxRank;
+    std::size_t extents[kMaxRank];
+    const std::size_t cap = rank == 1 ? 3000 : rank == 2 ? 90 : 24;
+    for (std::size_t j = 0; j < rank; ++j) {
+      extents[j] = 1 + rng.next_u64() % cap;
+    }
+    const Dims dims = Dims::of_rank(rank, extents);
+    SCOPED_TRACE(dims.to_string());
+    const auto ls = LevelStructure::analyze(dims);
+    std::vector<float> original(dims.count());
+    for (auto& v : original) v = static_cast<float>(rng.uniform(-5, 5));
+    const auto kind =
+        trial % 2 == 0 ? InterpKind::kCubic : InterpKind::kLinear;
+    std::vector<float> want(dims.count()), got(dims.count());
+    std::vector<std::size_t> want_slot(dims.count()), got_slot(dims.count());
+    line_major_sweep(want.data(), ls, kind,
+                     [&](unsigned li, std::size_t slot, std::size_t idx,
+                         float pred) {
+                       want_slot[idx] = slot * 8 + li;
+                       return pred * 0.5f + original[idx];
+                     });
+    interpolation_sweep(got.data(), ls, kind,
+                        [&](unsigned li, std::size_t slot, std::size_t idx,
+                            float pred) {
+                          got_slot[idx] = slot * 8 + li;
+                          return pred * 0.5f + original[idx];
+                        });
+    EXPECT_EQ(got_slot, want_slot);
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             got.size() * sizeof(float)));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -79,7 +226,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Dims{1, 1}, Dims{5, 5}, Dims{16, 16}, Dims{33, 7},
                       Dims{100, 3}, Dims{2, 128}, Dims{9, 9, 9}, Dims{16, 16, 16},
                       Dims{7, 33, 5}, Dims{24, 13, 31}, Dims{3, 4, 5, 6},
-                      Dims{17, 2, 9, 4}),
+                      Dims{17, 2, 9, 4}, Dims{100003}, Dims{1, 37, 20},
+                      Dims{1, 1, 70}, Dims{300, 300}, Dims{40, 48, 50}),
     [](const auto& info) {
       std::string s = info.param.to_string();
       for (auto& c : s) {
