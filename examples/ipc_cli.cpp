@@ -303,7 +303,7 @@ void print_plan(const RetrievalPlan& plan, std::size_t rank) {
   }
   std::cout << "plan for " << to_string(plan.request, rank) << ":\n"
             << "  blocks in scope   : " << plan.blocks.size()
-            << (plan.region_scoped ? " (region-scoped)" : "") << "\n"
+            << (plan.request.region ? " (region-scoped)" : "") << "\n"
             << "  segments to fetch : " << plan.segments.size() << " ("
             << base << " base, " << aux << " aux, " << planes << " planes)\n"
             << "  predicted bytes   : " << plan.bytes_new << "\n"

@@ -1,6 +1,7 @@
 #include "core/progressive_reader.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <tuple>
 
@@ -27,6 +28,15 @@ void bitmap_set(Bytes& bm, std::size_t i) {
 /// serve-tcp benchmark's 16.7 MB client fields through malloc arena
 /// retention (RSS was identical under MALLOC_ARENA_MAX=1).
 constexpr std::size_t kOverlapFillBytes = std::size_t{32} << 20;
+
+/// Planes-from-top a block level `lh` uses at `axis` planes of a plan axis
+/// `depth` planes deep.  The axis counts from the top of the deepest planned
+/// block; a shallower block's missing high planes are all-zero, so "use u of
+/// D" drops D − u of its lowest planes.
+unsigned block_planes(const LevelHeader& lh, unsigned axis, unsigned depth) {
+  const unsigned dropped = depth - std::min(axis, depth);
+  return lh.n_planes - std::min(dropped, lh.n_planes);
+}
 
 }  // namespace
 
@@ -92,36 +102,6 @@ ProgressiveReader<T>::ProgressiveReader(SegmentSource& src, ReaderConfig cfg)
     bs.bc.outlier_value.resize(L);
     n_levels_ = std::max(n_levels_, L);
   }
-
-  agg_planes_.assign(n_levels_, 0);
-  for (std::size_t b = 0; b < grid_.n_blocks; ++b) {
-    const auto& levels = levels_of(b);
-    for (unsigned li = 0; li < levels.size(); ++li) {
-      if (levels[li].progressive) {
-        agg_planes_[li] = std::max(agg_planes_[li], levels[li].n_planes);
-      }
-    }
-  }
-  planes_used_.assign(n_levels_, 0);
-
-  agg_plane_size_.resize(n_levels_);
-  fetched_plane_bytes_.resize(n_levels_);
-  for (unsigned li = 0; li < n_levels_; ++li) {
-    agg_plane_size_[li].assign(agg_planes_[li], 0);
-    fetched_plane_bytes_[li].assign(agg_planes_[li], 0);
-  }
-  for (std::size_t b = 0; b < grid_.n_blocks; ++b) {
-    const auto& levels = levels_of(b);
-    for (unsigned li = 0; li < levels.size(); ++li) {
-      const LevelHeader& lh = levels[li];
-      if (!lh.progressive || lh.n_planes == 0) continue;
-      for (unsigned k = 0; k < lh.n_planes; ++k) {
-        agg_plane_size_[li][k] += src_.segment_size(
-            {kSegPlane, static_cast<std::uint16_t>(li + 1), k,
-             static_cast<std::uint32_t>(b)});
-      }
-    }
-  }
 }
 
 template <typename T>
@@ -167,26 +147,6 @@ void ProgressiveReader<T>::decode_base(std::size_t b, FetchedBlock& fetched) {
 }
 
 template <typename T>
-std::vector<unsigned> ProgressiveReader<T>::block_targets(
-    std::size_t b, const std::vector<unsigned>& axis,
-    const std::vector<unsigned>& depths) const {
-  const auto& levels = levels_of(b);
-  std::vector<unsigned> targets(levels.size(), 0);
-  for (unsigned li = 0; li < levels.size(); ++li) {
-    const LevelHeader& lh = levels[li];
-    if (!lh.progressive || lh.n_planes == 0) continue;
-    // The axis counts planes from the top of the deepest in-scope block at
-    // this level; a shallower block's missing high planes are all-zero, so
-    // "use u of D" translates to dropping d = D − u of its lowest planes.
-    const unsigned D = depths[li];
-    const unsigned u = std::min(axis[li], D);
-    const unsigned d = D - u;
-    targets[li] = lh.n_planes - std::min(d, lh.n_planes);
-  }
-  return targets;
-}
-
-template <typename T>
 void ProgressiveReader<T>::plan_block_base(std::size_t b,
                                            std::vector<SegmentId>& out) const {
   if (blocks_[b].base_loaded) return;
@@ -202,14 +162,14 @@ void ProgressiveReader<T>::plan_block_base(std::size_t b,
 
 template <typename T>
 void ProgressiveReader<T>::plan_block_planes(
-    std::size_t b, const std::vector<unsigned>& targets,
-    std::vector<SegmentId>& out) const {
+    std::size_t b, const std::vector<unsigned>& axis,
+    const std::vector<unsigned>& depths, std::vector<SegmentId>& out) const {
   const auto& levels = levels_of(b);
   const BlockState& bs = blocks_[b];
   for (unsigned li = 0; li < levels.size(); ++li) {
     const LevelHeader& lh = levels[li];
     if (!lh.progressive || lh.n_planes == 0) continue;
-    const unsigned target = std::min(targets[li], lh.n_planes);
+    const unsigned target = block_planes(lh, axis[li], depths[li]);
     // Planes are indexed by absolute bit position: using `u` planes from the
     // top means planes [n_planes - u, n_planes), fetched MSB-first so the
     // predictive XOR prefix bits are always resident before a plane decodes.
@@ -266,47 +226,7 @@ void ProgressiveReader<T>::decode_planes(std::size_t b, FetchedBlock& fetched) {
 }
 
 template <typename T>
-std::vector<LevelPlanInput> ProgressiveReader<T>::planner_inputs() const {
-  const double step = 2.0 * header_.eb;
-  std::vector<LevelPlanInput> inputs(n_levels_);
-  for (unsigned li = 0; li < n_levels_; ++li) {
-    const unsigned D = agg_planes_[li];
-    LevelPlanInput& in = inputs[li];
-    if (D == 0) {
-      in.err.assign(1, 0.0);
-      in.already_loaded = 0;
-      continue;
-    }
-    const double amp =
-        backend_->amplification(header_, cfg_.error_model, li + 1);
-    // Aggregate the level across blocks: plane sizes sum (fetching global
-    // plane k touches every block that stores it), truncation losses max
-    // (the field's L∞ error is the worst block's).  Bytes already fetched —
-    // including blocks region requests pushed past the global floor — are
-    // sunk cost: pricing them again would make byte budgets under-fetch.
-    in.plane_size.resize(D);
-    for (unsigned k = 0; k < D; ++k) {
-      in.plane_size[k] = agg_plane_size_[li][k] - fetched_plane_bytes_[li][k];
-    }
-    in.err.assign(D + 1, 0.0);
-    for (std::size_t b = 0; b < grid_.n_blocks; ++b) {
-      const auto& levels = levels_of(b);
-      if (li >= levels.size()) continue;
-      const LevelHeader& lh = levels[li];
-      if (!lh.progressive || lh.n_planes == 0) continue;
-      for (unsigned d = 0; d <= D; ++d) {
-        const double e =
-            amp * static_cast<double>(lh.loss[std::min(d, lh.n_planes)]) * step;
-        in.err[d] = std::max(in.err[d], e);
-      }
-    }
-    in.already_loaded = planes_used_[li];
-  }
-  return inputs;
-}
-
-template <typename T>
-void ProgressiveReader<T>::region_axis(
+void ProgressiveReader<T>::plan_axis(
     const std::vector<std::uint32_t>& blocks, std::vector<unsigned>& depths,
     std::vector<unsigned>& floor, std::vector<LevelPlanInput>& inputs) const {
   const double step = 2.0 * header_.eb;
@@ -335,10 +255,11 @@ void ProgressiveReader<T>::region_axis(
     in.err.assign(D + 1, 0.0);
     // The axis aligns plane indices at the LSB of the deepest in-scope block
     // (axis plane k maps to block plane k; shallower blocks simply lack the
-    // high ones), so per-block sizes and losses aggregate slot-by-slot.
-    // Unlike the whole-field path, residency is per block: segments a block
-    // already holds — from any earlier request, uniform or region — cost
-    // nothing, and the floor is the worst (lowest) block's.
+    // high ones), so per-block sizes sum and truncation losses max
+    // slot-by-slot (the scope's L∞ error is its worst block's).  Residency is
+    // per block: segments a block already holds — from any earlier request —
+    // are sunk cost and priced at nothing, and the floor is the worst
+    // (lowest) block's.
     unsigned fl = D;
     for (std::uint32_t b : blocks) {
       const auto& levels = levels_of(b);
@@ -366,9 +287,10 @@ void ProgressiveReader<T>::region_axis(
 }
 
 template <typename T>
-RetrievalStats ProgressiveReader<T>::finish_stats(std::size_t before) {
+RetrievalStats ProgressiveReader<T>::finish_stats(
+    std::size_t before, const std::vector<std::uint32_t>& blocks) {
   RetrievalStats st;
-  st.guaranteed_error = current_guaranteed_error();
+  st.guaranteed_error = guarantee(blocks, nullptr, nullptr);
   st.bytes_total = src_.stats().bytes_read;
   st.bytes_new = st.bytes_total - before;
   st.bitrate = 8.0 * static_cast<double>(st.bytes_total) /
@@ -377,37 +299,14 @@ RetrievalStats ProgressiveReader<T>::finish_stats(std::size_t before) {
 }
 
 template <typename T>
-double ProgressiveReader<T>::guarantee_for(
-    const std::vector<unsigned>& floor) const {
-  const double step = 2.0 * header_.eb;
-  double err = header_.eb;
-  for (unsigned li = 0; li < n_levels_; ++li) {
-    const unsigned D = agg_planes_[li];
-    if (D == 0) continue;
-    const unsigned d = D - std::min(floor[li], D);
-    const double amp =
-        backend_->amplification(header_, cfg_.error_model, li + 1);
-    double worst = 0.0;
-    for (std::size_t b = 0; b < grid_.n_blocks; ++b) {
-      const auto& levels = levels_of(b);
-      if (li >= levels.size()) continue;
-      const LevelHeader& lh = levels[li];
-      if (!lh.progressive || lh.n_planes == 0) continue;
-      worst = std::max(
-          worst, static_cast<double>(lh.loss[std::min(d, lh.n_planes)]));
-    }
-    err += amp * worst * step;
-  }
-  return err;
-}
-
-template <typename T>
 double ProgressiveReader<T>::current_guaranteed_error() const {
-  return guarantee_for(planes_used_);
+  std::vector<std::uint32_t> all(grid_.n_blocks);
+  std::iota(all.begin(), all.end(), 0u);
+  return guarantee(all, nullptr, nullptr);
 }
 
 template <typename T>
-double ProgressiveReader<T>::region_guarantee(
+double ProgressiveReader<T>::guarantee(
     const std::vector<std::uint32_t>& blocks,
     const std::vector<unsigned>* axis_targets,
     const std::vector<unsigned>* depths) const {
@@ -425,9 +324,8 @@ double ProgressiveReader<T>::region_guarantee(
       if (!lh.progressive || lh.n_planes == 0) continue;
       unsigned used = blocks_[b].planes_used[li];
       if (axis_targets) {
-        const unsigned D = (*depths)[li];
-        const unsigned d = D - std::min((*axis_targets)[li], D);
-        used = std::max(used, lh.n_planes - std::min(d, lh.n_planes));
+        used = std::max(
+            used, block_planes(lh, (*axis_targets)[li], (*depths)[li]));
       }
       worst = std::max(worst,
                        static_cast<double>(lh.loss[lh.n_planes - used]));
@@ -443,8 +341,7 @@ RetrievalPlan ProgressiveReader<T>::plan(const Request& req) const {
   RetrievalPlan p;
   p.request = req;
   p.epoch = epoch_;
-  p.region_scoped = req.region.has_value();
-  if (p.region_scoped) {
+  if (req.region) {
     const RegionBox& box = *req.region;
     for (std::size_t i = 0; i < header_.dims.rank(); ++i) {
       if (box.lo[i] >= box.hi[i] || box.hi[i] > header_.dims[i]) {
@@ -452,31 +349,22 @@ RetrievalPlan ProgressiveReader<T>::plan(const Request& req) const {
       }
     }
   }
+  // A request without a region is the region over every block.
   for (std::size_t b = 0; b < grid_.n_blocks; ++b) {
-    if (!p.region_scoped ||
-        grid_.intersects(b, req.region->lo, req.region->hi)) {
+    if (!req.region || grid_.intersects(b, req.region->lo, req.region->hi)) {
       p.blocks.push_back(static_cast<std::uint32_t>(b));
     }
   }
 
-  // Base (+aux) segments are mandatory: their bytes come off byte budgets
-  // before any plane is priced, exactly as the legacy paths charged them.
-  std::vector<SegmentId> base_segs;
-  for (std::uint32_t b : p.blocks) plan_block_base(b, base_segs);
+  // Base (+aux) segments are mandatory and lead the fetch list: their bytes
+  // come off byte budgets before any plane is priced.
+  for (std::uint32_t b : p.blocks) plan_block_base(b, p.segments);
   std::uint64_t base_bytes = 0;
-  for (const SegmentId& id : base_segs) base_bytes += src_.segment_size(id);
+  for (const SegmentId& id : p.segments) base_bytes += src_.segment_size(id);
 
-  // Planner axis + inputs: the whole-field aggregates for uniform plans, the
-  // intersecting-blocks aggregates for region plans.
   std::vector<unsigned> depths, floor;
   std::vector<LevelPlanInput> inputs;
-  if (!p.region_scoped) {
-    depths = agg_planes_;
-    floor = planes_used_;
-    inputs = planner_inputs();
-  } else {
-    region_axis(p.blocks, depths, floor, inputs);
-  }
+  plan_axis(p.blocks, depths, floor, inputs);
 
   LoadPlan lp;
   if (std::holds_alternative<Request::Full>(req.target)) {
@@ -507,29 +395,13 @@ RetrievalPlan ProgressiveReader<T>::plan(const Request& req) const {
     p.plane_targets[li] =
         std::min(std::max(lp.planes_to_use[li], floor[li]), depths[li]);
   }
-
-  // Assemble the fetch list in the documented order: uniform plans list all
-  // pending bases first, then planes per block; region plans interleave base
-  // and planes per intersecting block.
-  if (!p.region_scoped) {
-    p.segments = std::move(base_segs);
-    for (std::uint32_t b : p.blocks) {
-      plan_block_planes(b, block_targets(b, p.plane_targets, depths),
-                        p.segments);
-    }
-  } else {
-    for (std::uint32_t b : p.blocks) {
-      plan_block_base(b, p.segments);
-      plan_block_planes(b, block_targets(b, p.plane_targets, depths),
-                        p.segments);
-    }
+  for (std::uint32_t b : p.blocks) {
+    plan_block_planes(b, p.plane_targets, depths, p.segments);
   }
 
   p.bytes_new = unattributed_open_cost_;
   for (const SegmentId& id : p.segments) p.bytes_new += src_.segment_size(id);
-  p.guaranteed_error =
-      p.region_scoped ? region_guarantee(p.blocks, &p.plane_targets, &depths)
-                      : guarantee_for(p.plane_targets);
+  p.guaranteed_error = guarantee(p.blocks, &p.plane_targets, &depths);
   return p;
 }
 
@@ -569,7 +441,6 @@ RetrievalStats ProgressiveReader<T>::execute(const RetrievalPlan& p) {
     } else if (id.kind == kSegAux) {
       fb.aux = std::move(payloads[i]);
     } else {
-      fetched_plane_bytes_[id.level - 1][id.plane] += payloads[i].size();
       fb.planes.emplace_back(id.level - 1, id.plane, std::move(payloads[i]));
     }
   }
@@ -608,18 +479,7 @@ RetrievalStats ProgressiveReader<T>::execute(const RetrievalPlan& p) {
       rebuild(i);
     }, /*grain=*/2);
   }
-
-  if (!p.region_scoped) {
-    // plane_targets was clamped against the floor at plan time, so this only
-    // ever raises the uniform floor.  Region plans advance individual blocks
-    // (tracked per block in decode_planes), never the floor.
-    planes_used_ = p.plane_targets;
-  }
-  RetrievalStats st = finish_stats(before);
-  if (p.region_scoped) {
-    st.guaranteed_error = region_guarantee(p.blocks, nullptr, nullptr);
-  }
-  return st;
+  return finish_stats(before, p.blocks);
 }
 
 template <typename T>
@@ -648,21 +508,13 @@ RetrievalStats ProgressiveReader<T>::acknowledge(const RetrievalPlan& p) {
     if (id.kind == kSegBase) {
       bs.base_loaded = true;
     } else if (id.kind == kSegPlane) {
-      const std::size_t sz = src_.segment_size(id);
-      fetched_plane_bytes_[id.level - 1][id.plane] += sz;
       const LevelHeader& lh = levels_of(id.block)[id.level - 1];
       bs.planes_used[id.level - 1] =
           std::max(bs.planes_used[id.level - 1], lh.n_planes - id.plane);
     }
     // kSegAux rides along with the base; nothing to track.
   }
-  if (!p.region_scoped) planes_used_ = p.plane_targets;
-
-  RetrievalStats st = finish_stats(before);
-  if (p.region_scoped) {
-    st.guaranteed_error = region_guarantee(p.blocks, nullptr, nullptr);
-  }
-  return st;
+  return finish_stats(before, p.blocks);
 }
 
 template class ProgressiveReader<float>;

@@ -26,13 +26,14 @@
 // plane planner, and block scheduling.
 //
 // Block-decomposed (v2/v3) archives hold one independent code/outlier state
-// per block.  Uniform requests (error bound / bytes / bitrate / full) plan
-// over per-level aggregates — plane sizes summed and truncation losses maxed
-// across blocks — then decode and reconstruct the blocks concurrently.
-// A Request carrying a region box additionally scopes retrieval to the
-// blocks intersecting the box: the same DP planner runs over those blocks'
-// aggregates, so a region can be combined with any fidelity target
-// (Request::full().within(lo, hi) is the full-fidelity special case).
+// per block, and residency (which planes each block holds) is tracked per
+// block.  Every request plans over a set of blocks: the blocks intersecting
+// its region box, or every block when it has none (a whole-field archive is
+// one block).  The DP planner prices exactly the segments those blocks still
+// miss — plane sizes summed and truncation losses maxed across them — so a
+// region combines with any fidelity target (Request::full().within(lo, hi) is
+// the full-fidelity special case); the planned blocks then decode and
+// reconstruct concurrently.
 #pragma once
 
 #include <array>
@@ -59,8 +60,8 @@ struct ReaderConfig {
 /// Outcome of one retrieval request.
 struct RetrievalStats {
   /// eb + Σ amplified truncation loss under the current plane set: the L∞
-  /// error the reader guarantees for its current output.  For region-scoped
-  /// requests the guarantee covers the requested region only.
+  /// error the reader guarantees for its current output over the request's
+  /// blocks (the intersecting blocks of a region request, else all).
   double guaranteed_error = 0.0;
   /// Bytes fetched by this request (segments + first-touch header cost).
   /// The archive open cost (header + segment table, charged at reader
@@ -122,8 +123,8 @@ class ProgressiveReader {
   RetrievalStats retrieve(const Request& req) { return execute(plan(req)); }
 
   /// Advance the planning residency for `p` without decoding anything: the
-  /// epoch, the open-cost attribution, the per-level fetched-byte and
-  /// planes-used bookkeeping all move exactly as execute() would move them,
+  /// epoch, the open-cost attribution and the per-block planes-used
+  /// bookkeeping all move exactly as execute() would move them,
   /// but no payload is inflated and no reconstruction exists.  This is the
   /// server side of remote serving (net/server.hpp): the daemon fetches the
   /// plan's segments, ships them to the client, and acknowledges the plan so
@@ -145,6 +146,7 @@ class ProgressiveReader {
   std::size_t element_count() const { return header_.dims.count(); }
   std::size_t bytes_loaded() const { return src_.stats().bytes_read; }
   double compression_eb() const { return header_.eb; }
+  /// Guaranteed L∞ error of data() over the whole field.
   double current_guaranteed_error() const;
 
  private:
@@ -175,36 +177,28 @@ class ProgressiveReader {
   /// Code phase: deposit the block's fetched planes into its codes.  Never
   /// touches xhat_.
   void decode_planes(std::size_t b, FetchedBlock& fetched);
-  std::vector<LevelPlanInput> planner_inputs() const;
-  RetrievalStats finish_stats(std::size_t before);
-  /// Per-block plane targets for a plan-axis entry: `axis[li]` planes from
-  /// the top of a per-level axis `depths[li]` planes deep (the whole-field
-  /// aggregate for uniform plans, the intersecting-blocks aggregate for
-  /// region plans).
-  std::vector<unsigned> block_targets(std::size_t b,
-                                      const std::vector<unsigned>& axis,
-                                      const std::vector<unsigned>& depths) const;
+  /// Stats after a request over `blocks`: bytes since `before`, and the
+  /// guarantee over those blocks.
+  RetrievalStats finish_stats(std::size_t before,
+                              const std::vector<std::uint32_t>& blocks);
   /// Plan-axis geometry and planner inputs over `blocks` only: per-level
   /// depths (max n_planes), the resident floor (min planes-from-top, counted
   /// on the axis), and LevelPlanInputs pricing exactly the segments those
   /// blocks still miss.
-  void region_axis(const std::vector<std::uint32_t>& blocks,
-                   std::vector<unsigned>& depths, std::vector<unsigned>& floor,
-                   std::vector<LevelPlanInput>& inputs) const;
-  /// Guaranteed L∞ error with every block at `floor[li]` planes-from-top on
-  /// the whole-field aggregate axis (current_guaranteed_error() at the
-  /// current floor; plan() predicts with the post-execution floor).
-  double guarantee_for(const std::vector<unsigned>& floor) const;
-  /// Region-scoped guarantee over `blocks` from their individual resident
-  /// plane counts; `axis_targets`/`depths` (optional, for plan-time
-  /// prediction) raise each block to its planned target first.
-  double region_guarantee(const std::vector<std::uint32_t>& blocks,
-                          const std::vector<unsigned>* axis_targets,
-                          const std::vector<unsigned>* depths) const;
+  void plan_axis(const std::vector<std::uint32_t>& blocks,
+                 std::vector<unsigned>& depths, std::vector<unsigned>& floor,
+                 std::vector<LevelPlanInput>& inputs) const;
+  /// Guaranteed L∞ error over `blocks` from their individual resident plane
+  /// counts; `axis_targets`/`depths` (optional, for plan-time prediction)
+  /// raise each block to its planned target first.
+  double guarantee(const std::vector<std::uint32_t>& blocks,
+                   const std::vector<unsigned>* axis_targets,
+                   const std::vector<unsigned>* depths) const;
   /// Append the not-yet-resident plane segments of block `b` needed to reach
-  /// `targets[li]` planes-from-the-top per level (block-local units), in
-  /// fetch order (level-ascending, MSB-first within a level).
-  void plan_block_planes(std::size_t b, const std::vector<unsigned>& targets,
+  /// `axis[li]` planes-from-the-top of a plan axis `depths[li]` deep (see
+  /// plan_axis), in fetch order (level-ascending, MSB-first within a level).
+  void plan_block_planes(std::size_t b, const std::vector<unsigned>& axis,
+                         const std::vector<unsigned>& depths,
                          std::vector<SegmentId>& out) const;
   /// Append block `b`'s base (+aux) segments when not yet resident.
   void plan_block_base(std::size_t b, std::vector<SegmentId>& out) const;
@@ -230,19 +224,6 @@ class ProgressiveReader {
   Header header_;
   BlockGrid grid_;
   unsigned n_levels_ = 0;  // max over blocks
-  /// Per level: max n_planes over blocks — the global planes-from-top axis
-  /// uniform requests plan on.
-  std::vector<unsigned> agg_planes_;
-  /// [level][plane] -> total compressed bytes across blocks, computed once
-  /// at construction (segment sizes are immutable; re-querying the source
-  /// per request would cost O(blocks x planes) map lookups each time).
-  std::vector<std::vector<std::uint64_t>> agg_plane_size_;
-  /// [level][plane] -> bytes of those segments already fetched (uniform and
-  /// region-scoped requests alike); the planner prices only the rest.
-  std::vector<std::vector<std::uint64_t>> fetched_plane_bytes_;
-  /// Per level: planes-from-top every block is guaranteed to have (uniform
-  /// requests only; region-scoped requests may push single blocks further).
-  std::vector<unsigned> planes_used_;
 
   std::vector<BlockState> blocks_;
   std::vector<T> xhat_;

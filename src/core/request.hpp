@@ -96,25 +96,23 @@ std::string to_string(const SegmentId& id);
 struct RetrievalPlan {
   /// The request this plan answers.
   Request request;
-  /// Every segment execute() will fetch, in fetch order: for uniform plans
-  /// all pending base (+aux) segments in block order, then plane segments per
-  /// block, level-ascending and MSB-first within a level; region plans
-  /// interleave base and planes per intersecting block.
+  /// Every segment execute() will fetch, in fetch order: all pending base
+  /// (+aux) segments of the plan's blocks in block order, then plane segments
+  /// per block, level-ascending and MSB-first within a level.
   std::vector<SegmentId> segments;
   /// Predicted bytes execute() will charge, including the archive open cost
   /// if this is the reader's first executed request.  Exact: equals the
   /// resulting RetrievalStats.bytes_new.
   std::uint64_t bytes_new = 0;
-  /// Predicted guaranteed L∞ error after execution (region-scoped when the
-  /// request has a region).  Exact: equals RetrievalStats.guaranteed_error.
+  /// Predicted guaranteed L∞ error over `blocks` after execution.  Exact:
+  /// equals RetrievalStats.guaranteed_error.
   double guaranteed_error = 0.0;
-  /// Per level: planes-from-the-top target on the plan's aggregate axis
-  /// (whole-field for uniform plans, intersecting-blocks for region plans).
+  /// Per level: planes-from-the-top target on the axis of the in-scope
+  /// blocks, which counts from the top of the deepest of them.
   std::vector<unsigned> plane_targets;
-  /// Block ordinals in scope — the blocks execute() reconstructs.
+  /// Block ordinals in scope — those intersecting the region, or every block
+  /// when the request has none; the blocks execute() reconstructs.
   std::vector<std::uint32_t> blocks;
-  /// True when the plan (and its error guarantee) covers only `blocks`.
-  bool region_scoped = false;
   /// Reader state serial this plan was computed against; execute() rejects
   /// stale plans (the reader advanced since plan() ran).
   std::uint64_t epoch = 0;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -84,6 +85,20 @@ std::vector<Bytes> SegmentSource::read_many(std::span<const SegmentId> ids) {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x41435049u;  // "IPCA" little-endian
+
+/// FileSource's first read at open: the whole index of most archives; a
+/// larger index is then read to its exact end.
+constexpr std::size_t kIndexProbeBytes = std::size_t{64} << 10;
+
+/// One past the last byte of the varint starting at `at`, or 0 when `head`
+/// ends inside it.
+std::size_t varint_end(std::span<const std::uint8_t> head, std::size_t at) {
+  for (std::size_t i = at; i < head.size(); ++i) {
+    if (i - at >= 10) throw std::runtime_error("archive: bad varint");
+    if (!(head[i] & 0x80)) return i + 1;
+  }
+  return 0;
+}
 }  // namespace
 
 std::uint64_t SegmentId::key(std::uint32_t version) const {
@@ -190,6 +205,36 @@ ArchiveIndex ArchiveIndex::parse(std::span<const std::uint8_t> head_bytes,
   return idx;
 }
 
+std::size_t ArchiveIndex::extent(std::span<const std::uint8_t> head) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  ByteReader r(head);
+  r.u32();  // magic, checked by parse()
+  const bool checksums = r.u32() == kArchiveV4;
+  if (checksums) r.bytes(5);  // base version + checksum algorithm
+  const std::uint64_t header_length = r.varint();
+  if (header_length > kMax / 2) throw std::runtime_error("archive: truncated");
+  const std::size_t table = r.position() + header_length;
+  const std::size_t rows = varint_end(head, table);
+  if (rows == 0) return std::max(table, head.size()) + 1;
+  const std::uint64_t count = ByteReader(head.subspan(table)).varint();
+  const std::size_t min_row = checksums ? 17 : 9;
+  if (count > (kMax - head.size()) / min_row - 1) {
+    throw std::runtime_error("archive: bad segment count");
+  }
+  std::size_t at = rows;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    // A row is key, length varint, then the checksum when present.
+    const std::size_t len_end =
+        at + 8 < head.size() ? varint_end(head, at + 8) : 0;
+    if (len_end == 0 || len_end + (min_row - 9) > head.size()) {
+      // `head` ends inside this row; every row left takes min_row or more.
+      return std::max(at + (count - i) * min_row, head.size() + 1);
+    }
+    at = len_end + (min_row - 9);
+  }
+  return at;
+}
+
 void ArchiveIndex::verify(const Entry& entry,
                           std::span<const std::uint8_t> payload) const {
   if (!has_checksums) return;
@@ -280,13 +325,19 @@ class File {
 FileSource::FileSource(std::string path) : path_(std::move(path)) {
   File f(path_, "rb");
   file_size_ = f.size(path_);
-  // The index prefix (magic/version/header/table) precedes all payloads; read
-  // a bounded prefix large enough to hold it.  Headers carry per-plane size
-  // tables and stay in the tens of kilobytes.
-  std::size_t prefix = std::min<std::size_t>(file_size_, std::size_t{1} << 22);
-  Bytes head(prefix);
-  if (std::fread(head.data(), 1, prefix, f.get()) != prefix) {
-    throw std::runtime_error("archive: short read of index prefix");
+  // The index (magic/version/header/table) precedes all payloads.  Read a
+  // prefix, then the index bytes it still lacks until extent() finds its end.
+  Bytes head;
+  for (std::size_t want = std::min(file_size_, kIndexProbeBytes);;) {
+    const std::size_t have = head.size();
+    head.resize(want);
+    if (std::fread(head.data() + have, 1, want - have, f.get()) !=
+        want - have) {
+      throw std::runtime_error("archive: short read of index prefix");
+    }
+    want = ArchiveIndex::extent({head.data(), head.size()});
+    if (want <= head.size()) break;
+    if (want > file_size_) throw std::runtime_error("archive: truncated");
   }
   index_ = ArchiveIndex::parse({head.data(), head.size()}, file_size_);
 }

@@ -309,6 +309,13 @@ struct ArchiveIndex {
 
   static ArchiveIndex parse(std::span<const std::uint8_t> head_bytes,
                             std::size_t total_size);
+
+  /// Bytes from the container start through the end of the segment table
+  /// when `head` holds them all, else a lower bound on that end above
+  /// head.size(): table rows vary in length, so a reader reads up to the
+  /// bound and asks again, never past the index.  `head` must hold the
+  /// preamble through the header length.
+  static std::size_t extent(std::span<const std::uint8_t> head);
 };
 
 /// SegmentSource over a fully in-memory archive blob.  Only the bytes of the

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "io/archive.hpp"
+#include "io/mmap_source.hpp"
 #include "util/rng.hpp"
 
 namespace ipcomp {
@@ -262,6 +263,62 @@ TEST(Archive, ManySegmentsIndexedCorrectly) {
   for (std::uint32_t i = 0; i < 500; ++i) {
     SegmentId id{2, static_cast<std::uint16_t>(i % 16), i};
     EXPECT_EQ(src.read_segment(id), Bytes(i % 37, static_cast<std::uint8_t>(i)));
+  }
+}
+
+// FileSource reads the index to its exact end, not a fixed prefix: a
+// segment table of several MB opens through it as through the mapping.
+TEST(Archive, FileSourceReadsLargeSegmentTable) {
+  ArchiveBuilder b;
+  b.set_version(kArchiveV2);
+  b.set_integrity(true);
+  b.set_header({});
+  constexpr std::uint32_t kSegments = 300000;
+  for (std::uint32_t i = 0; i < kSegments; ++i) {
+    b.add_segment({1, 1, 0, i}, Bytes(1, static_cast<std::uint8_t>(i)));
+  }
+  Bytes blob = b.finish();
+  ASSERT_GT(blob.size(), 5000000u);
+  const std::string path = ::testing::TempDir() + "/ipcomp_large_table.bin";
+  write_file(path, blob);
+
+  FileSource fsrc(path);
+  MmapSource msrc(path);
+  EXPECT_EQ(fsrc.segment_ids(), msrc.segment_ids());
+  const std::vector<SegmentId> some = {{1, 1, 0, 0},
+                                       {1, 1, 0, kSegments / 2},
+                                       {1, 1, 0, kSegments - 1}};
+  EXPECT_EQ(fsrc.read_many(some), msrc.read_many(some));
+  std::remove(path.c_str());
+}
+
+// Headers and tables that run past FileSource's first read, with two-byte
+// length varints so the read ends inside table rows.
+TEST(Archive, FileSourceReadsIndexPastFirstRead) {
+  Rng rng(9);
+  for (std::size_t header_size : {std::size_t{40000}, std::size_t{100000}}) {
+    ArchiveBuilder b;
+    Bytes header(header_size);
+    for (auto& x : header) x = static_cast<std::uint8_t>(rng.next_u64());
+    b.set_header(header);
+    std::vector<std::pair<SegmentId, Bytes>> segs;
+    for (std::uint32_t i = 0; i < 4000; ++i) {
+      Bytes payload(130 + i % 50, static_cast<std::uint8_t>(i));
+      b.add_segment({1, 1, i}, payload);
+      segs.emplace_back(SegmentId{1, 1, i}, std::move(payload));
+    }
+    Bytes blob = b.finish();
+    const std::string path = ::testing::TempDir() + "/ipcomp_long_index.bin";
+    write_file(path, blob);
+
+    FileSource fsrc(path);
+    MemorySource msrc(std::move(blob));
+    EXPECT_EQ(fsrc.header(), msrc.header()) << header_size;
+    EXPECT_EQ(fsrc.segment_ids(), msrc.segment_ids()) << header_size;
+    for (const auto& [id, payload] : segs) {
+      ASSERT_EQ(fsrc.read_segment(id), payload) << header_size;
+    }
+    std::remove(path.c_str());
   }
 }
 

@@ -23,9 +23,13 @@
 // intentional).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <tuple>
 
 #include "core/compressor.hpp"
 #include "core/progressive_reader.hpp"
@@ -229,8 +233,8 @@ TEST(Golden, WaveletV3Block) {
                       kWaveletV3BlockProbeArchive});
 }
 
-// Region retrieval drives the per-block multi-plane deposit path with
-// interleaved base/plane fetches; pin its output too.
+// Region retrieval drives the per-block multi-plane deposit path over a
+// subset of the blocks; pin its output too.
 TEST(Golden, InterpV2Region) {
   auto field = golden_field<double>(Dims{40, 40, 40}, 16);
   Options opt;
@@ -258,6 +262,99 @@ TEST(Golden, InterpV2Region) {
   EXPECT_EQ(h_full, 0x726818e01cd08251ull)
       << "full-after-region reconstruction changed";
   EXPECT_EQ(h_full, oneshot_full_hash<double>(archive));
+}
+
+// Planner decisions along a fixed mixed ladder of uniform and region
+// requests.  Each step pins one hash of the sorted planned segment ids, the
+// planned bytes_new and the bits of the planned and executed guarantees, so a
+// planner refactor that moves any plan (what is fetched, what it costs, or
+// what it promises) shows up here.  The constants were captured while
+// uniform requests still had a planner of their own, and hold unchanged for
+// the one planner that treats them as the region over every block.
+struct LadderCase {
+  const char* name;
+  std::size_t side;  // cube edge
+  BackendId backend;
+  std::size_t block_side;
+  std::uint64_t seed;
+  std::array<std::uint64_t, 6> steps;
+};
+
+std::uint64_t plan_step_hash(const RetrievalPlan& p, const RetrievalStats& st) {
+  std::vector<SegmentId> ids = p.segments;
+  std::sort(ids.begin(), ids.end(), [](const SegmentId& a, const SegmentId& b) {
+    return std::tie(a.kind, a.level, a.plane, a.block) <
+           std::tie(b.kind, b.level, b.plane, b.block);
+  });
+  std::vector<std::uint64_t> words;
+  for (const SegmentId& id : ids) {
+    words.push_back(std::uint64_t{id.kind} << 48 |
+                    std::uint64_t{id.level} << 32 | id.plane);
+    words.push_back(id.block);
+  }
+  words.push_back(p.bytes_new);
+  words.push_back(std::bit_cast<std::uint64_t>(p.guaranteed_error));
+  words.push_back(std::bit_cast<std::uint64_t>(st.guaranteed_error));
+  return fnv1a(words.data(), words.size() * sizeof(std::uint64_t));
+}
+
+void run_ladder(const LadderCase& c) {
+  const Dims dims{c.side, c.side, c.side};
+  auto field = golden_field<double>(dims, c.seed);
+  Options opt;
+  opt.backend = c.backend;
+  opt.block_side = c.block_side;
+  opt.progressive_threshold = 256;
+  opt.error_bound = 1e-4;
+  opt.integrity = false;
+  Bytes archive = compress(field.const_view(), opt);
+  MemorySource src{Bytes(archive)};
+  ProgressiveReader<double> reader(src);
+  const double eb = reader.compression_eb();
+  const std::size_t half = c.side / 2, far = c.side * 3 / 4;
+  const std::array<std::size_t, kMaxRank> origin{}, mid{half, half, half},
+      corner{far, far, far}, end{c.side, c.side, c.side};
+  const double bits_per_value = 0.85 * 8.0 *
+                                static_cast<double>(archive.size()) /
+                                static_cast<double>(dims.count());
+  const std::array<Request, 6> ladder = {
+      Request::error_bound(1e3 * eb),
+      Request::error_bound(1e2 * eb).within(origin, mid),
+      Request::bytes(archive.size() / 16),
+      Request::bitrate(bits_per_value),
+      Request::full().within(corner, end),
+      Request::full(),
+  };
+  for (std::size_t i = 0; i < ladder.size(); ++i) {
+    const RetrievalPlan p = reader.plan(ladder[i]);
+    const RetrievalStats st = reader.execute(p);
+    EXPECT_EQ(st.bytes_new, p.bytes_new) << c.name << " step " << i;
+    EXPECT_EQ(st.guaranteed_error, p.guaranteed_error)
+        << c.name << " step " << i;
+    const std::uint64_t h = plan_step_hash(p, st);
+    if (print_mode()) {
+      std::printf("  // %s step %zu\n  0x%016llxull,\n", c.name, i,
+                  static_cast<unsigned long long>(h));
+      continue;
+    }
+    EXPECT_EQ(h, c.steps[i]) << c.name << ": plan at step " << i << " ("
+                             << to_string(ladder[i], 3) << ") changed";
+  }
+}
+
+TEST(Golden, PlanLadder) {
+  run_ladder({"interp v1 whole-field 40^3", 40, BackendId::kInterp, 0, 21,
+              {0xb4836a60fdd971a6ull, 0x9322d2d9a3a2b63cull,
+               0x910bfdfcb6321acdull, 0xd17bc5caa83e51beull,
+               0x16146e8514579482ull, 0x435213e33af2f813ull}});
+  run_ladder({"interp v2 block16 40^3", 40, BackendId::kInterp, 16, 22,
+              {0xfb79375cb44bb4f5ull, 0xbcb0dad6b99d56b0ull,
+               0x2e48997c745455b0ull, 0x69d17ddb2fd9202cull,
+               0xaa93f104a5627e2aull, 0xdda672b2a8cb69e1ull}});
+  run_ladder({"wavelet v3 block16 24^3", 24, BackendId::kWavelet, 16, 23,
+              {0xb4907719eb773f4bull, 0xc4cc5e088d6df774ull,
+               0x87a472422daf7cccull, 0x97a6b9b759be9bedull,
+               0xfd17994c016f2938ull, 0xf13ee95c3ce8a3edull}});
 }
 
 // The v4 integrity wrapper (the default) must be transparent: identical

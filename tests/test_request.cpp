@@ -119,39 +119,67 @@ TEST_P(RequestApi, PlanIsPureAndPredictionsAreExact) {
   EXPECT_LE(linf(field.const_view(), reader.data()), 1e-8 * (1 + 1e-9));
 }
 
-// Uniform plans list every pending base (+aux) segment before the first
-// plane, planes grouped per block, MSB-first within a level — the order the
-// legacy fetch loops used, now pinned as API contract.
+// Every plan, uniform or region, lists every pending base (+aux) segment
+// before the first plane, planes grouped per block, MSB-first within a level
+// — one fetch order, pinned as API contract.
 TEST_P(RequestApi, PlanSegmentOrderIsDocumented) {
   auto field = smooth_field(Dims{40, 40, 24}, 43, 0.05);
   Bytes archive = make_archive(field, 1e-8);
   MemorySource src{Bytes(archive)};
   ProgressiveReader<double> reader(src);
 
-  RetrievalPlan p = reader.plan(Request::error_bound(1e-4));
-  ASSERT_FALSE(p.segments.empty());
-  bool seen_plane = false;
-  std::uint32_t last_plane_block = 0;
-  for (const SegmentId& id : p.segments) {
-    if (id.kind == kSegPlane) {
-      if (seen_plane) {
-        EXPECT_GE(id.block, last_plane_block);  // block-major grouping
+  std::array<std::size_t, kMaxRank> lo{0, 0, 0, 0};
+  std::array<std::size_t, kMaxRank> hi{40, 20, 24, 0};
+  for (const Request& req : {Request::error_bound(1e-4),
+                             Request::error_bound(1e-4).within(lo, hi),
+                             Request::full().within(lo, hi)}) {
+    const std::string what = to_string(req, 3);
+    RetrievalPlan p = reader.plan(req);
+    ASSERT_FALSE(p.segments.empty()) << what;
+    bool seen_plane = false;
+    std::uint32_t last_plane_block = 0;
+    for (const SegmentId& id : p.segments) {
+      if (id.kind == kSegPlane) {
+        if (seen_plane) {
+          EXPECT_GE(id.block, last_plane_block) << what;  // block-major
+        }
+        seen_plane = true;
+        last_plane_block = id.block;
+      } else {
+        EXPECT_FALSE(seen_plane) << what << ": base/aux after a plane segment";
       }
-      seen_plane = true;
-      last_plane_block = id.block;
-    } else {
-      EXPECT_FALSE(seen_plane) << "base/aux after a plane segment";
+    }
+    // Per block+level, plane indices strictly decrease (MSB-first).
+    for (std::size_t i = 1; i < p.segments.size(); ++i) {
+      const SegmentId& a = p.segments[i - 1];
+      const SegmentId& b = p.segments[i];
+      if (a.kind == kSegPlane && b.kind == kSegPlane && a.block == b.block &&
+          a.level == b.level) {
+        EXPECT_GT(a.plane, b.plane) << what;
+      }
     }
   }
-  // Per block+level, plane indices strictly decrease (MSB-first).
-  for (std::size_t i = 1; i < p.segments.size(); ++i) {
-    const SegmentId& a = p.segments[i - 1];
-    const SegmentId& b = p.segments[i];
-    if (a.kind == kSegPlane && b.kind == kSegPlane && a.block == b.block &&
-        a.level == b.level) {
-      EXPECT_GT(a.plane, b.plane);
-    }
-  }
+}
+
+// A region whose box touches every block plans over the whole field, so
+// afterwards the reader's current guarantee is that request's guarantee, not
+// a stale one left by the uniform request before it.
+TEST_P(RequestApi, RegionOverEveryBlockSetsCurrentGuarantee) {
+  auto field = smooth_field(Dims{40, 40, 24}, 52, 0.05);
+  Bytes archive = make_archive(field, 1e-8);
+  MemorySource src{Bytes(archive)};
+  ProgressiveReader<double> reader(src);
+
+  std::array<std::size_t, kMaxRank> lo{20, 20, 0, 0};
+  std::array<std::size_t, kMaxRank> hi{40, 40, 24, 0};
+  reader.retrieve(Request::error_bound(1e-2));
+  RetrievalPlan p = reader.plan(Request::error_bound(1e-5).within(lo, hi));
+  ASSERT_EQ(p.blocks.size(), reader.block_grid().n_blocks);
+  RetrievalStats st = reader.execute(p);
+  EXPECT_LE(st.guaranteed_error, 1e-5 * (1 + 1e-9));
+  EXPECT_EQ(reader.current_guaranteed_error(), st.guaranteed_error);
+  EXPECT_LE(linf(field.const_view(), reader.data()),
+            reader.current_guaranteed_error() * (1 + 1e-9));
 }
 
 // A plan is valid once, against the state it was computed from.
