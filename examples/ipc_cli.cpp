@@ -15,10 +15,11 @@
 //   ipc serve    <name> --connect ADDR [--clients N] [--rounds R]
 //
 // Raw files are dense row-major little-endian arrays (SDRBench layout).
-// --block-side N compresses in independent N^d blocks (archive format v2+):
-// compression parallelizes across blocks and --region retrieves a sub-box by
-// reading only the blocks that intersect it.  --region composes with any
-// fidelity flag ("this region at eb 1e-3"); alone it means full fidelity.
+// --block-side N compresses in independent N^d blocks (without it, the field
+// is one block): compression parallelizes across blocks and --region
+// retrieves a sub-box by reading only the blocks that intersect it.  --region
+// composes with any fidelity flag ("this region at eb 1e-3"); alone it means
+// full fidelity.
 // --dry-run prints the retrieval plan — segments, predicted bytes, predicted
 // guaranteed error — without fetching a payload byte (the output file may be
 // omitted).  --backend selects the progressive backend (interp = the paper's
@@ -37,6 +38,7 @@
 // through RemoteReader clients against a running daemon and prints the
 // daemon's STAT reply.  Unknown flags and malformed values exit non-zero
 // with a usage hint.
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cctype>
@@ -361,23 +363,22 @@ int do_info(const Args& a) {
             << "value range : [" << TableReporter::num(h.data_min, 6) << ", "
             << TableReporter::num(h.data_max, 6) << "]\n"
             << "archive size: " << src.total_size() << " bytes\n";
-  if (h.block_side != 0) {
-    std::uint64_t outliers = 0, values = 0;
-    for (const auto& bl : h.block_levels) {
-      for (const auto& l : bl) {
-        outliers += l.outlier_count;
-        values += l.count;
-      }
+  // Per-level totals over the blocks (planes maxed, the rest summed).
+  std::vector<LevelHeader> totals;
+  for (const auto& bl : h.block_levels) {
+    if (bl.size() > totals.size()) totals.resize(bl.size());
+    for (std::size_t li = 0; li < bl.size(); ++li) {
+      totals[li].count += bl[li].count;
+      totals[li].outlier_count += bl[li].outlier_count;
+      totals[li].progressive |= bl[li].progressive;
+      totals[li].n_planes = std::max(totals[li].n_planes, bl[li].n_planes);
     }
-    std::cout << "block side  : " << h.block_side << " ("
-              << h.block_levels.size() << " blocks)\n"
-              << "values      : " << values << " (" << outliers
-              << " outliers)\n";
-    return 0;
   }
-  std::cout << "levels      :\n";
-  for (std::size_t li = h.levels.size(); li-- > 0;) {
-    const auto& l = h.levels[li];
+  std::cout << "block side  : " << h.block_side << " ("
+            << h.block_levels.size() << " blocks)\n"
+            << "levels      :\n";
+  for (std::size_t li = totals.size(); li-- > 0;) {
+    const auto& l = totals[li];
     std::cout << "  level " << li + 1 << ": " << l.count << " values, "
               << (l.progressive ? std::to_string(l.n_planes) + " bitplanes"
                                 : std::string("solid"))

@@ -11,7 +11,7 @@
 //
 // Backends are stateless singletons looked up through a registry keyed by
 // the BackendId stored in the archive header (v3; the interpolation backend
-// keeps writing the self-describing v1/v2 layouts).  A backend may also
+// writes the v2 layout, which implies it).  A backend may also
 // store one auxiliary segment per block (kSegAux) fetched alongside the base
 // segments, and an opaque metadata blob in v3 headers that it validates and
 // interprets itself.
@@ -92,7 +92,7 @@ class ProgressiveBackend {
   /// that must be fetched with the base segments.
   virtual bool has_aux_segment() const = 0;
 
-  /// Opaque metadata stored in v3 headers (empty for v1/v2 backends).
+  /// Opaque metadata stored in v3 headers (empty for the interp backend).
   virtual Bytes metadata(const Header& h) const = 0;
   /// Validate a parsed metadata blob; throws std::runtime_error on a forged
   /// or truncated blob.  Called once per reader construction.

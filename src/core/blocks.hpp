@@ -1,4 +1,4 @@
-// Block decomposition of an N-d field (archive format v2).
+// Block decomposition of an N-d field (a field compressed whole is one block).
 //
 // A BlockGrid partitions a field into axis-aligned cubes of side `block_side`
 // (edge blocks are clipped to the field boundary).  Blocks are compressed and
@@ -56,13 +56,13 @@ void for_each_block_row(const Dims& bd,
 
 struct BlockGrid {
   Dims field_dims;
-  std::size_t block_side = 0;  // 0 = single block covering the whole field
+  std::size_t block_side = 0;  // 0 = one block spanning the field (v1 reads)
   std::size_t n_blocks = 1;
   std::array<std::size_t, kMaxRank> grid{};  // blocks per dimension
 
-  /// Derive the grid for a field.  `block_side` 0 yields the legacy single
-  /// whole-field block; 1 is rejected (every element its own block defeats
-  /// interpolation entirely).
+  /// Derive the grid for a field.  `block_side` 0 yields the single block of
+  /// a read-only whole-field archive; 1 is rejected (every element its own
+  /// block defeats interpolation entirely).
   static BlockGrid analyze(const Dims& dims, std::size_t block_side) {
     if (block_side == 1) {
       throw std::invalid_argument("ipcomp: block_side must be 0 (off) or >= 2");

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "bitplane/bitplane.hpp"
 #include "core/backend.hpp"
 #include "core/blocks.hpp"
 #include "core/header.hpp"
@@ -86,26 +87,24 @@ double resolve_error_bound(NdConstView<T> input, const Options& opt) {
 
 template <typename T>
 Bytes compress(NdConstView<T> input, const Options& opt) {
+  // The header stores both in one byte each: reject what it cannot record.
+  if (opt.prefix_bits > kPlaneCount) {
+    throw std::invalid_argument("ipcomp: prefix_bits exceeds the plane count");
+  }
+  if (opt.interp != InterpKind::kLinear && opt.interp != InterpKind::kCubic) {
+    throw std::invalid_argument("ipcomp: unknown interpolation kind");
+  }
   const ProgressiveBackend& backend = backend_for(opt.backend);
   const Dims dims = input.dims();
-  // Any side >= the largest extent yields one block per dimension, so clamp
-  // there: the header stores the side as u32, and grid and header must
-  // derive from the same value or the archive becomes unreadable.
-  std::size_t block_side = opt.block_side;
-  if (block_side != 0) {
-    block_side =
-        std::min(block_side, std::max<std::size_t>(2, dims.max_extent()));
-    if (block_side > 0xFFFFFFFFu) {
-      throw std::invalid_argument("ipcomp: block side too large");
-    }
-  }
+  // Any side >= the largest extent (2 at least) yields one block, so clamp
+  // there; block_side 0 (the whole field) is that one-block grid.
+  const std::size_t one_block = std::max<std::size_t>(2, dims.max_extent());
+  const std::size_t block_side =
+      opt.block_side == 0 ? one_block : std::min(opt.block_side, one_block);
   const BlockGrid grid = BlockGrid::analyze(dims, block_side);
 
   auto [lo, hi] = min_max(input);
   const double eb = resolve_error_bound(opt, lo, hi);
-
-  const T* original = input.data();
-  const auto estrides = dims.strides();
 
   Header header;
   header.dtype = data_type_of<T>();
@@ -115,47 +114,29 @@ Bytes compress(NdConstView<T> input, const Options& opt) {
   header.prefix_bits = opt.prefix_bits;
   header.data_min = lo;
   header.data_max = hi;
-  header.block_side = static_cast<std::uint32_t>(block_side);
+  header.block_side = block_side;
   header.backend = opt.backend;
   header.backend_meta = backend.metadata(header);
 
-  // The interpolation backend keeps writing the original self-describing
-  // v1/v2 containers; any other backend needs the v3 header (backend id +
-  // metadata) and therefore the v3 container.
   ArchiveBuilder builder;
-  if (opt.backend == BackendId::kInterp) {
-    builder.set_version(block_side == 0 ? kArchiveV1 : kArchiveV2);
-  } else {
-    builder.set_version(kArchiveV3);
-  }
+  builder.set_version(header.write_format());
   builder.set_integrity(opt.integrity);
 
-  if (block_side == 0) {
-    // Legacy whole-field mode: one block spanning the field; the backend's
-    // inner loops parallelize.
-    BlockCompressResult res =
-        backend.compress_block(original, nullptr, dims, estrides, eb, opt, 0);
-    header.levels = std::move(res.levels);
-    for (auto& [id, payload] : res.segments) {
+  // The whole pipeline runs per block, concurrently.  grain=2 keeps a lone
+  // block (a field compressed whole) out of a parallel region so its inner
+  // loops can still use the pool.
+  const auto estrides = dims.strides();
+  std::vector<BlockCompressResult> results(grid.n_blocks);
+  parallel_for(0, grid.n_blocks, [&](std::size_t b) {
+    results[b] = backend.compress_block(
+        input.data() + grid.origin_linear(b), nullptr, grid.block_dims(b),
+        estrides, eb, opt, static_cast<std::uint32_t>(b));
+  }, /*grain=*/2);
+  header.block_levels.resize(grid.n_blocks);
+  for (std::size_t b = 0; b < grid.n_blocks; ++b) {
+    header.block_levels[b] = std::move(results[b].levels);
+    for (auto& [id, payload] : results[b].segments) {
       builder.add_segment(id, std::move(payload));
-    }
-  } else {
-    // Block mode: the whole pipeline runs per block, concurrently.  grain=2
-    // keeps a lone block out of a parallel region so its inner loops can
-    // still use the pool.
-    std::vector<BlockCompressResult> results(grid.n_blocks);
-    parallel_for(0, grid.n_blocks, [&](std::size_t b) {
-      const std::size_t org = grid.origin_linear(b);
-      results[b] = backend.compress_block(original + org, nullptr,
-                                          grid.block_dims(b), estrides, eb,
-                                          opt, static_cast<std::uint32_t>(b));
-    }, /*grain=*/2);
-    header.block_levels.resize(grid.n_blocks);
-    for (std::size_t b = 0; b < grid.n_blocks; ++b) {
-      header.block_levels[b] = std::move(results[b].levels);
-      for (auto& [id, payload] : results[b].segments) {
-        builder.add_segment(id, std::move(payload));
-      }
     }
   }
 

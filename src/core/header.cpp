@@ -48,17 +48,18 @@ std::vector<LevelHeader> read_levels(ByteReader& r) {
 
 }  // namespace
 
+std::uint8_t Header::write_format() const {
+  return backend == BackendId::kInterp ? kHeaderV2Tag : kHeaderV3Tag;
+}
+
 Bytes Header::serialize() const {
   ByteWriter w;
-  const bool v3 = backend != BackendId::kInterp;
-  const bool v2 = !v3 && block_side != 0;
-  if (v3) {
-    w.u8(kHeaderV3Tag);
+  const std::uint8_t tag = write_format();
+  w.u8(tag);
+  if (tag == kHeaderV3Tag) {
     w.u8(static_cast<std::uint8_t>(backend));
     w.varint(backend_meta.size());
     w.bytes(backend_meta);
-  } else if (v2) {
-    w.u8(kHeaderV2Tag);
   }
   w.u8(static_cast<std::uint8_t>(dtype));
   w.u8(static_cast<std::uint8_t>(dims.rank()));
@@ -68,15 +69,7 @@ Bytes Header::serialize() const {
   w.u8(static_cast<std::uint8_t>(prefix_bits));
   w.f64(data_min);
   w.f64(data_max);
-  if (!v2 && !v3) {
-    write_levels(w, levels);
-    return w.take();
-  }
   w.varint(block_side);
-  if (v3 && block_side == 0) {
-    write_levels(w, levels);
-    return w.take();
-  }
   w.varint(block_levels.size());
   for (const auto& bl : block_levels) write_levels(w, bl);
   return w.take();
@@ -86,11 +79,10 @@ Header Header::parse(const Bytes& raw) {
   ByteReader r({raw.data(), raw.size()});
   Header h;
   std::uint8_t first = r.u8();
-  std::uint8_t format = 1;
   if (first >= kHeaderV2Tag) {
     if (first > kHeaderV3Tag) throw std::runtime_error("header: bad format tag");
-    format = first;
-    if (format == kHeaderV3Tag) {
+    h.format = first;
+    if (h.format == kHeaderV3Tag) {
       const std::uint8_t backend = r.u8();
       if (!backend_id_known(backend)) {
         throw std::runtime_error("header: unknown backend id");
@@ -105,7 +97,6 @@ Header Header::parse(const Bytes& raw) {
     }
     first = r.u8();
   }
-  h.format = format;
   h.dtype = static_cast<DataType>(first);
   if (h.dtype != DataType::kFloat32 && h.dtype != DataType::kFloat64) {
     throw std::runtime_error("header: bad data type");
@@ -116,25 +107,27 @@ Header Header::parse(const Bytes& raw) {
   for (std::size_t i = 0; i < rank; ++i) extents[i] = r.varint();
   h.dims = Dims::of_rank(rank, extents);
   h.eb = r.f64();
-  h.interp = static_cast<InterpKind>(r.u8());
+  const std::uint8_t interp = r.u8();
+  if (interp > static_cast<std::uint8_t>(InterpKind::kCubic)) {
+    throw std::runtime_error("header: bad interpolation kind");
+  }
+  h.interp = static_cast<InterpKind>(interp);
   h.prefix_bits = r.u8();
   h.data_min = r.f64();
   h.data_max = r.f64();
-  if (format == 1) {
-    h.levels = read_levels(r);
-    return h;
-  }
-  h.block_side = static_cast<std::uint32_t>(r.varint());
-  if (format == kHeaderV3Tag && h.block_side == 0) {
-    h.levels = read_levels(r);
+  if (h.format != 1) h.block_side = r.varint();
+  if (h.block_side == 0) {
+    // v1 and whole-field v3 headers (read only): one block spanning the field.
+    if (h.format == kHeaderV2Tag) {
+      throw std::runtime_error("header: bad block side");
+    }
+    h.block_levels.push_back(read_levels(r));
     return h;
   }
   std::size_t n_blocks = r.varint();
-  // The block table must match the geometry derived from dims + block_side;
-  // that also rejects forged counts before they drive the resize() below.
-  // BlockGrid::analyze throws for block_side == 1 (and parse already rejects
-  // 0 in the v2 layout, which would make the table inconsistent with v1).
-  if (h.block_side == 0) throw std::runtime_error("header: bad block side");
+  // The block table must match the geometry derived from dims + block_side
+  // (BlockGrid::analyze throws for block_side == 1); that also rejects forged
+  // counts before they drive the resize() below.
   BlockGrid grid = BlockGrid::analyze(h.dims, h.block_side);
   if (n_blocks != grid.n_blocks) {
     throw std::runtime_error("header: block table does not match geometry");

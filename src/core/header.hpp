@@ -55,30 +55,32 @@ struct Header {
   std::uint32_t prefix_bits = 2;
   double data_min = 0.0;
   double data_max = 0.0;
-  /// Block decomposition side length (archive format v2+); 0 = whole-field
-  /// archive described by `levels` alone.
-  std::uint32_t block_side = 0;
+  /// Block decomposition side length (a varint on disk); 0 only from a
+  /// parsed v1 or whole-field v3 header, whose one block spans the field.
+  std::uint64_t block_side = 0;
   /// Progressive backend that produced (and can decode) the payload.  The
-  /// interpolation backend keeps writing the v1/v2 layouts; any other backend
-  /// forces the v3 layout, which records the id plus an opaque metadata blob
-  /// the backend validates and interprets itself.
+  /// interpolation backend writes the v2 layout; any other backend writes
+  /// the v3 layout, which records the id plus an opaque metadata blob the
+  /// backend validates and interprets itself.
   BackendId backend = BackendId::kInterp;
   Bytes backend_meta;
   /// Layout the header was parsed from (1, 2 or 3).  Output of parse() only;
-  /// serialize() derives the layout from `backend` and `block_side`.
+  /// serialize() writes write_format().
   std::uint8_t format = 1;
-  /// Index 0 = finest level (level 1 in the paper's numbering).  Used when
-  /// block_side == 0.
+  /// Never filled (levels live in `block_levels`); kept so sources naming it
+  /// still compile.
   std::vector<LevelHeader> levels;
-  /// Per-block level tables (block ordinal -> levels), used when
-  /// block_side != 0.  Block geometry is derived from dims + block_side
-  /// (BlockGrid), so only the level tables are serialized.
+  /// Per-block level tables (block ordinal -> levels, index 0 = finest).
+  /// Block geometry is derived from dims + block_side (BlockGrid), so only
+  /// the level tables are serialized.
   std::vector<std::vector<LevelHeader>> block_levels;
 
-  /// Self-versioned: whole-field interp headers serialize in the v1 layout
-  /// (first byte = dtype, 0 or 1), block interp headers prepend a format tag
-  /// byte 2, and non-interp backends prepend tag 3 followed by the backend id
-  /// and metadata blob.  parse() distinguishes them by that first byte.
+  /// Header layout and container version written for `backend`: 2 for
+  /// interp, 3 (backend id + metadata) otherwise.  The one place it is chosen.
+  std::uint8_t write_format() const;
+
+  /// Self-versioned: the blob starts with the write_format() tag byte, which
+  /// parse() tells from the untagged v1 layout (first byte = dtype, 0 or 1).
   Bytes serialize() const;
   static Header parse(const Bytes& raw);
 };

@@ -42,8 +42,8 @@ BlockCompressResult compress_impl(const T* original, const Dims& block_dims,
     std::copy_n(src, row, data + dst0);
   });
 
-  // Outlier lists are per block; the mutex only matters in whole-field mode,
-  // where the sweep's line loop is the parallel one.  In block mode the
+  // Outlier lists are per block; the mutex only matters for a lone block,
+  // whose sweep's line loop is the parallel one.  Among many blocks the
   // nested-parallelism guard keeps this sweep serial and the lock free.
   Mutex outlier_mutex;
 

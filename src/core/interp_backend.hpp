@@ -5,7 +5,7 @@
 // shared bitplane/codec stages.  Read side: the same sweep driven by
 // dequantized codes (Algorithm 1), rerun from the accumulated codes whenever
 // new bitplanes arrive (Algorithm 2's refinement).  This backend is the
-// behavior-preserving refactor of the original hardwired pipeline: archives
+// behavior-preserving refactor of the original hardwired pipeline: segments
 // are byte-identical to those written before the seam existed (v1/v2).
 #pragma once
 

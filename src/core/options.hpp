@@ -12,7 +12,7 @@ namespace ipcomp {
 struct Options {
   /// Progressive backend that runs the per-block transform -> quantize ->
   /// bitplane pipeline.  kInterp is the paper's interpolation predictor and
-  /// writes archive format v1/v2; every other backend (e.g. kWavelet, a
+  /// writes archive format v2; every other backend (e.g. kWavelet, a
   /// CDF 9/7 transform) writes format v3.  All backends serve the same
   /// ProgressiveReader Request API, including region-scoped requests.
   BackendId backend = BackendId::kInterp;
@@ -26,7 +26,7 @@ struct Options {
   InterpKind interp = InterpKind::kCubic;
 
   /// Prefix width of the predictive bitplane coder (paper Table 2: 2 is the
-  /// sweet spot).  0 disables prediction (raw bitplanes).
+  /// sweet spot).  0 disables prediction (raw bitplanes); above 32 throws.
   unsigned prefix_bits = 2;
 
   /// Levels with fewer elements than this are stored whole (not bitplaned):
@@ -48,12 +48,12 @@ struct Options {
   /// comparisons against other compressors).
   bool integrity = true;
 
-  /// Side length of the cubic blocks the field is decomposed into (archive
-  /// format v2).  Blocks are compressed independently and concurrently, and
-  /// readers can decode only the blocks intersecting a region of interest.
-  /// 0 = legacy whole-field mode (archive format v1); 1 is rejected.  For
-  /// throughput, pick a side so the block count is at least the thread count
-  /// (e.g. 64 for a 256^3 field); tiny blocks cost compression ratio.
+  /// Side length of the cubic blocks the field is decomposed into.  Blocks
+  /// are compressed independently and concurrently, and readers can decode
+  /// only the blocks intersecting a region of interest.  0 = one block (the
+  /// whole field); 1 is rejected.  For throughput, pick a side so the block
+  /// count is at least the thread count (e.g. 64 for a 256^3 field); tiny
+  /// blocks cost compression ratio.
   std::size_t block_side = 0;
 };
 

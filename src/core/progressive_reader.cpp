@@ -72,11 +72,7 @@ ProgressiveReader<T>::ProgressiveReader(SegmentSource& src, ReaderConfig cfg)
     }
   }
   grid_ = BlockGrid::analyze(header_.dims, header_.block_side);
-  if (header_.block_side == 0) {
-    if (!header_.block_levels.empty()) {
-      throw std::runtime_error("ProgressiveReader: unexpected block table");
-    }
-  } else if (header_.block_levels.size() != grid_.n_blocks) {
+  if (header_.block_levels.size() != grid_.n_blocks) {
     throw std::runtime_error("ProgressiveReader: block table size mismatch");
   }
 
@@ -86,7 +82,7 @@ ProgressiveReader<T>::ProgressiveReader(SegmentSource& src, ReaderConfig cfg)
     bs.bc.dims = grid_.block_dims(b);
     bs.bc.origin = grid_.origin_linear(b);
     const auto counts = backend_->level_counts(bs.bc.dims);
-    const auto& levels = levels_of(b);
+    const auto& levels = header_.block_levels[b];
     if (counts.size() != levels.size()) {
       throw std::runtime_error("ProgressiveReader: level count mismatch");
     }
@@ -107,7 +103,7 @@ ProgressiveReader<T>::ProgressiveReader(SegmentSource& src, ReaderConfig cfg)
 template <typename T>
 void ProgressiveReader<T>::decode_base(std::size_t b, FetchedBlock& fetched) {
   BlockState& bs = blocks_[b];
-  const auto& levels = levels_of(b);
+  const auto& levels = header_.block_levels[b];
   for (unsigned li = 0; li < levels.size(); ++li) {
     const LevelHeader& lh = levels[li];
     bs.bc.codes[li].assign(lh.count, 0);
@@ -150,7 +146,7 @@ template <typename T>
 void ProgressiveReader<T>::plan_block_base(std::size_t b,
                                            std::vector<SegmentId>& out) const {
   if (blocks_[b].base_loaded) return;
-  const auto& levels = levels_of(b);
+  const auto& levels = header_.block_levels[b];
   for (unsigned li = 0; li < levels.size(); ++li) {
     out.push_back({kSegBase, static_cast<std::uint16_t>(li + 1), 0,
                    static_cast<std::uint32_t>(b)});
@@ -164,7 +160,7 @@ template <typename T>
 void ProgressiveReader<T>::plan_block_planes(
     std::size_t b, const std::vector<unsigned>& axis,
     const std::vector<unsigned>& depths, std::vector<SegmentId>& out) const {
-  const auto& levels = levels_of(b);
+  const auto& levels = header_.block_levels[b];
   const BlockState& bs = blocks_[b];
   for (unsigned li = 0; li < levels.size(); ++li) {
     const LevelHeader& lh = levels[li];
@@ -183,7 +179,7 @@ void ProgressiveReader<T>::plan_block_planes(
 template <typename T>
 void ProgressiveReader<T>::decode_planes(std::size_t b, FetchedBlock& fetched) {
   BlockState& bs = blocks_[b];
-  const auto& levels = levels_of(b);
+  const auto& levels = header_.block_levels[b];
 
   // All newly fetched planes of a level go through one batch: decompress,
   // predictive-decode MSB-first on the packed buffers, then a single
@@ -233,7 +229,7 @@ void ProgressiveReader<T>::plan_axis(
   depths.assign(n_levels_, 0);
   floor.assign(n_levels_, 0);
   for (std::uint32_t b : blocks) {
-    const auto& levels = levels_of(b);
+    const auto& levels = header_.block_levels[b];
     for (unsigned li = 0; li < levels.size(); ++li) {
       if (levels[li].progressive) {
         depths[li] = std::max(depths[li], levels[li].n_planes);
@@ -262,7 +258,7 @@ void ProgressiveReader<T>::plan_axis(
     // (lowest) block's.
     unsigned fl = D;
     for (std::uint32_t b : blocks) {
-      const auto& levels = levels_of(b);
+      const auto& levels = header_.block_levels[b];
       if (li >= levels.size()) continue;
       const LevelHeader& lh = levels[li];
       if (!lh.progressive || lh.n_planes == 0) continue;
@@ -318,7 +314,7 @@ double ProgressiveReader<T>::guarantee(
     double worst = 0.0;
     bool any = false;
     for (std::uint32_t b : blocks) {
-      const auto& levels = levels_of(b);
+      const auto& levels = header_.block_levels[b];
       if (li >= levels.size()) continue;
       const LevelHeader& lh = levels[li];
       if (!lh.progressive || lh.n_planes == 0) continue;
@@ -435,7 +431,9 @@ RetrievalStats ProgressiveReader<T>::execute(const RetrievalPlan& p) {
     const SegmentId& id = p.segments[i];
     FetchedBlock& fb = fetched[id.block];
     if (id.kind == kSegBase) {
-      if (fb.base.empty()) fb.base.resize(levels_of(id.block).size());
+      if (fb.base.empty()) {
+        fb.base.resize(header_.block_levels[id.block].size());
+      }
       fb.base[id.level - 1] = std::move(payloads[i]);
       fb.has_base = true;
     } else if (id.kind == kSegAux) {
@@ -508,7 +506,7 @@ RetrievalStats ProgressiveReader<T>::acknowledge(const RetrievalPlan& p) {
     if (id.kind == kSegBase) {
       bs.base_loaded = true;
     } else if (id.kind == kSegPlane) {
-      const LevelHeader& lh = levels_of(id.block)[id.level - 1];
+      const LevelHeader& lh = header_.block_levels[id.block][id.level - 1];
       bs.planes_used[id.level - 1] =
           std::max(bs.planes_used[id.level - 1], lh.n_planes - id.plane);
     }

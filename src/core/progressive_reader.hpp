@@ -151,7 +151,7 @@ class ProgressiveReader {
 
  private:
   /// Per-block retrieval state: the backend-facing BlockCodes plus the
-  /// reader's own bookkeeping.  Whole-field archives hold exactly one.
+  /// reader's own bookkeeping.  A field compressed whole holds exactly one.
   struct BlockState {
     BlockCodes bc;
     std::vector<unsigned> planes_used;  // per level, from the top
@@ -168,10 +168,6 @@ class ProgressiveReader {
     /// (level index, absolute plane position, payload), MSB-first per level.
     std::vector<std::tuple<unsigned, unsigned, Bytes>> planes;
   };
-
-  const std::vector<LevelHeader>& levels_of(std::size_t b) const {
-    return header_.block_side == 0 ? header_.levels : header_.block_levels[b];
-  }
 
   void decode_base(std::size_t b, FetchedBlock& fetched);
   /// Code phase: deposit the block's fetched planes into its codes.  Never

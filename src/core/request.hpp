@@ -60,8 +60,8 @@ struct Request {
 
   Target target = Full{};
   /// When set, the request plans over — and its guarantee covers — only the
-  /// blocks intersecting the box.  On a whole-field (v1) archive the single
-  /// block spans the field, so a region request degenerates to uniform.
+  /// blocks intersecting the box.  On a field compressed whole the one block
+  /// spans the field, so a region request degenerates to uniform.
   std::optional<RegionBox> region;
 
   static Request error_bound(double target) {

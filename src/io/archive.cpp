@@ -1,8 +1,12 @@
 #include "io/archive.hpp"
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -449,11 +453,34 @@ Bytes FileSource::read_range(std::size_t offset, std::size_t length) const {
 }
 
 void write_file(const std::string& path, const Bytes& data) {
-  File f(path, "wb");
-  if (!data.empty() && std::fwrite(data.data(), 1, data.size(), f.get()) != data.size()) {
-    throw std::runtime_error("cannot write file: " + path);
-  }
-  if (!f.close()) throw std::runtime_error("cannot write file: " + path);
+  // A device or pipe is written in place.  Anything else gets a durable temp
+  // file beside it, renamed over it: a reader that mapped or opened the old
+  // file keeps its inode, and a crash leaves the old or the new archive.
+  struct stat st {};
+  const bool in_place = ::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode);
+  static std::atomic<std::uint64_t> serial{0};
+  const std::string tmp = in_place ? path
+                                   : path + ".tmp" + std::to_string(::getpid()) +
+                                         "." + std::to_string(serial++);
+  const std::runtime_error failed("cannot write file: " + path);
+  File f(tmp, "wb");
+  bool ok = (data.empty() || std::fwrite(data.data(), 1, data.size(),
+                                         f.get()) == data.size()) &&
+            std::fflush(f.get()) == 0 &&
+            (in_place || ::fsync(::fileno(f.get())) == 0);
+  ok = f.close() && ok &&
+       (in_place || ::rename(tmp.c_str(), path.c_str()) == 0);
+  if (!ok && !in_place) ::unlink(tmp.c_str());
+  if (!ok) throw failed;
+  if (in_place) return;
+  // Make the rename durable (EINVAL: the file system cannot sync a directory).
+  const std::size_t slash = path.rfind('/');
+  const int dir = ::open(
+      slash == std::string::npos ? "." : path.substr(0, slash + 1).c_str(),
+      O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir < 0) throw failed;
+  ok = ::fsync(dir) == 0 || errno == EINVAL;
+  if (!(::close(dir) == 0 && ok)) throw failed;
 }
 
 Bytes read_file(const std::string& path) {

@@ -15,7 +15,7 @@
 // v2 adds one for block-decomposed archives (kind:8 | level:8 | plane:12 |
 // block:36).  v3 keeps the v2 key packing and differs only in its header,
 // which names the progressive backend that owns the payload.  Readers accept
-// all three, keyed off the version word.
+// all three, keyed off the version word; v1 is no longer written.
 //
 // v4 is an *integrity wrapper* around any base version, adding a per-segment
 // checksum column to the table:
@@ -45,7 +45,7 @@
 namespace ipcomp {
 
 /// Archive format versions (the u32 after the magic).
-inline constexpr std::uint32_t kArchiveV1 = 1;  // whole-field, no block axis
+inline constexpr std::uint32_t kArchiveV1 = 1;  // whole-field, read only
 inline constexpr std::uint32_t kArchiveV2 = 2;  // block-decomposed fields
 /// v3 containers key segments exactly like v2 but carry a v3 header
 /// (backend id + metadata); written by every non-interpolation backend.
@@ -70,9 +70,9 @@ struct SegmentId {
   /// Segment-table key under the given archive version.  v1 predates the
   /// block axis, so v1 keys require block == 0; v2 narrows the other fields
   /// (kind < 2^8, level < 2^8, plane < 2^12) to make room for 36 block bits.
-  std::uint64_t key(std::uint32_t version = kArchiveV1) const;
+  std::uint64_t key(std::uint32_t version) const;
 
-  static SegmentId from_key(std::uint64_t k, std::uint32_t version = kArchiveV1) {
+  static SegmentId from_key(std::uint64_t k, std::uint32_t version) {
     SegmentId id;
     if (version >= kArchiveV2) {
       id.kind = static_cast<std::uint16_t>(k >> 56);
@@ -385,7 +385,8 @@ class FileSource final : public SegmentSource {
   bool header_loaded_ = false;
 };
 
-/// Write a serialized archive to disk.
+/// Write a serialized archive to disk atomically (temp file, fsync, rename):
+/// readers of the old file, mmapped ones included, keep it intact.
 void write_file(const std::string& path, const Bytes& data);
 /// Read a whole file into memory.
 Bytes read_file(const std::string& path);

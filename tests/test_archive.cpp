@@ -13,7 +13,7 @@ Bytes make_payload(std::size_t n, std::uint8_t fill) { return Bytes(n, fill); }
 
 TEST(Archive, SegmentIdKeyRoundTrip) {
   SegmentId id{3, 7, 29};
-  EXPECT_EQ(SegmentId::from_key(id.key()), id);
+  EXPECT_EQ(SegmentId::from_key(id.key(kArchiveV1), kArchiveV1), id);
 }
 
 TEST(Archive, BuildAndReadBack) {
@@ -234,7 +234,8 @@ TEST(Archive, FileRoundTripHelpers) {
 
 TEST(Archive, WriteFileReportsBufferedWriteFailure) {
   // /dev/full accepts open and buffered writes and fails on flush: a small
-  // write only errors at close, a large one already in fwrite.
+  // write only errors at close, a large one already in fwrite.  (A device is
+  // written in place; it cannot be replaced by rename.)
   if (std::FILE* probe = std::fopen("/dev/full", "wb")) {
     std::fclose(probe);
   } else {
@@ -242,6 +243,32 @@ TEST(Archive, WriteFileReportsBufferedWriteFailure) {
   }
   EXPECT_THROW(write_file("/dev/full", Bytes(10, 1)), std::runtime_error);
   EXPECT_THROW(write_file("/dev/full", Bytes(100000, 1)), std::runtime_error);
+}
+
+// write_file replaces a file by rename, so a source that mapped the old
+// file keeps its inode and still reads every one of its own payloads.  An
+// in-place truncate would leave the mapping past the new end of file, and
+// the next read would fault (SIGBUS).
+TEST(Archive, WriteFileKeepsMappedReadersIntact) {
+  const auto build = [](std::size_t n, std::uint8_t fill) {
+    ArchiveBuilder b;
+    b.set_header(Bytes{1, 2, 3});
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      b.add_segment({1, 1, i}, Bytes(n, static_cast<std::uint8_t>(fill + i)));
+    }
+    return b.finish();
+  };
+  const std::string path = ::testing::TempDir() + "/ipcomp_replace_mapped.bin";
+  write_file(path, build(64 << 10, 10));
+  MmapSource mapped(path);
+  const Bytes smaller = build(16, 50);
+  write_file(path, smaller);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(mapped.read_segment({1, 1, i}),
+              Bytes(64 << 10, static_cast<std::uint8_t>(10 + i)));
+  }
+  EXPECT_EQ(read_file(path), smaller);
+  std::remove(path.c_str());
 }
 
 TEST(Archive, DirectoryIsNotAFile) {

@@ -44,9 +44,9 @@ TEST(BackendRegistry, ArchiveFormatFollowsBackend) {
     for (std::size_t side : {std::size_t{0}, std::size_t{8}}) {
       opt.block_side = side;
       MemorySource src(compress(field.const_view(), opt));
+      // Side 0 (whole field) is a one-block grid in the same container.
       const std::uint32_t expected =
-          backend == BackendId::kInterp ? (side == 0 ? kArchiveV1 : kArchiveV2)
-                                        : kArchiveV3;
+          backend == BackendId::kInterp ? kArchiveV2 : kArchiveV3;
       EXPECT_EQ(src.version(), expected);
       ProgressiveReader<double> reader(src);
       EXPECT_EQ(reader.header().backend, backend);

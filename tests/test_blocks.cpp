@@ -419,10 +419,13 @@ TEST(BlocksForged, HeaderBlockSideOneRejected) {
 
 TEST(BlocksForged, ContainerHeaderVersionMismatchRejected) {
   auto field = smooth_field(Dims{16, 16}, 14);
-  Bytes archive = compress(field.const_view(), {});  // v1 container
-  // Forge the container version word (bytes 4..7) to v2: the v1 header
+  Options opt;
+  opt.integrity = false;  // a bare v2 container
+  Bytes archive = compress(field.const_view(), opt);
+  ASSERT_EQ(archive[4], 2);
+  // Forge the container version word (bytes 4..7) to v1: the v2 header
   // inside no longer matches the container and the reader must reject it.
-  archive[4] = 2;
+  archive[4] = 1;
   MemorySource src(std::move(archive));
   EXPECT_THROW(ProgressiveReader<double> reader(src), std::runtime_error);
 }

@@ -6,6 +6,7 @@
 #include <limits>
 #include <utility>
 
+#include "bitplane/bitplane.hpp"
 #include "core/blocks.hpp"
 #include "interp/sweep.hpp"
 #include "ipcomp.hpp"
@@ -169,7 +170,8 @@ TEST(Compressor, ExtremeValuesBecomeOutliers) {
   EXPECT_EQ(reader.data()[500], -1e18);
   EXPECT_LE(linf(field.const_view(), reader.data()), 1e-9 * (1 + 1e-9));
   std::uint64_t outliers = 0;
-  for (auto& l : reader.header().levels) outliers += l.outlier_count;
+  ASSERT_EQ(reader.header().block_levels.size(), 1u);  // one block
+  for (auto& l : reader.header().block_levels[0]) outliers += l.outlier_count;
   EXPECT_GE(outliers, 2u);
 }
 
@@ -361,7 +363,7 @@ TEST(Compressor, OutliersRoundTripThroughBlockLocalBuffers) {
         reference_outlier_counts(field, grid, opt.error_bound, opt.interp);
     std::uint64_t total = 0;
     for (std::size_t b = 0; b < grid.n_blocks; ++b) {
-      const auto& levels = block_side == 0 ? h.levels : h.block_levels[b];
+      const auto& levels = h.block_levels[b];
       ASSERT_EQ(levels.size(), expected[b].size());
       for (std::size_t li = 0; li < levels.size(); ++li) {
         EXPECT_EQ(levels[li].outlier_count, expected[b][li])
@@ -400,9 +402,14 @@ TEST(Compressor, HeaderDescribesArchive) {
   EXPECT_EQ(h.dtype, DataType::kFloat64);
   EXPECT_EQ(h.interp, InterpKind::kCubic);
   EXPECT_EQ(h.prefix_bits, 2u);
-  EXPECT_EQ(h.levels.size(), LevelStructure::analyze(h.dims).num_levels);
+  // Compressed whole: one block whose side is the largest extent.
+  EXPECT_EQ(h.format, 2u);
+  EXPECT_EQ(h.block_side, 40u);
+  ASSERT_EQ(h.block_levels.size(), 1u);
+  const auto& levels = h.block_levels[0];
+  EXPECT_EQ(levels.size(), LevelStructure::analyze(h.dims).num_levels);
   std::size_t total = 0;
-  for (auto& l : h.levels) total += l.count;
+  for (auto& l : levels) total += l.count;
   EXPECT_EQ(total, field.count());
 }
 
@@ -415,8 +422,11 @@ TEST(Compressor, HeaderForgedLevelCountRejected) {
   h.prefix_bits = 0;
   h.data_min = 0.0;
   h.data_max = 1.0;
+  h.block_side = 8;
+  h.block_levels.resize(1);
   Bytes raw = h.serialize();
-  // With zero levels the level-count varint is the final byte; replace it
+  // With zero levels in the one block, its level-count varint is the final
+  // byte; replace it
   // with a huge ten-byte varint.  parse() must reject the count instead of
   // letting it drive a multi-terabyte resize().
   ASSERT_EQ(raw.back(), 0x00);
@@ -424,6 +434,57 @@ TEST(Compressor, HeaderForgedLevelCountRejected) {
   raw.insert(raw.end(), 9, 0xFF);
   raw.push_back(0x01);
   EXPECT_THROW(Header::parse(raw), std::runtime_error);
+}
+
+// The header stores prefix_bits and the interpolation kind in one byte each,
+// so compress() rejects what it could not record: prefix_bits 256 used to
+// encode with 256 and store 0 (on a 32^3 field: L-inf 4.5 against a
+// guaranteed 3e-6).
+TEST(Compressor, UnrecordableOptionsRejected) {
+  auto field = smooth_field(Dims{16, 16}, 31);
+  Options opt;
+  opt.block_side = 8;
+  opt.prefix_bits = kPlaneCount;  // the largest that means anything
+  EXPECT_NO_THROW(compress(field.const_view(), opt));
+  for (unsigned prefix : {kPlaneCount + 1, 256u, 258u}) {
+    opt.prefix_bits = prefix;
+    EXPECT_THROW(compress(field.const_view(), opt), std::invalid_argument)
+        << "prefix_bits " << prefix;
+  }
+  opt.prefix_bits = 2;
+  opt.interp = static_cast<InterpKind>(2);
+  EXPECT_THROW(compress(field.const_view(), opt), std::invalid_argument);
+}
+
+// An interpolation byte other than linear (0) or cubic (1) would sweep with
+// linear kernels while the error model prices cubic ones.
+TEST(Compressor, HeaderUnknownInterpKindRejected) {
+  Header h;
+  h.dims = Dims{8};
+  h.block_side = 8;
+  h.block_levels.resize(1);
+  Bytes raw = h.serialize();
+  // tag, dtype, rank, one extent varint, then the f64 eb: the interp byte.
+  constexpr std::size_t kInterpAt = 4 + 8;
+  ASSERT_EQ(raw[kInterpAt], static_cast<std::uint8_t>(InterpKind::kCubic));
+  raw[kInterpAt] = static_cast<std::uint8_t>(InterpKind::kLinear);
+  EXPECT_EQ(Header::parse(raw).interp, InterpKind::kLinear);
+  raw[kInterpAt] = 2;
+  EXPECT_THROW(Header::parse(raw), std::runtime_error);
+}
+
+// A rank-1 field longer than 2^32 - 1 compressed whole is one block whose
+// side is its extent; the side is a varint, so the header carries it.
+TEST(Compressor, HeaderBlockSideAboveU32RoundTrips) {
+  constexpr std::uint64_t kSide = 5'000'000'000ull;
+  Header h;
+  h.dims = Dims{static_cast<std::size_t>(kSide)};
+  h.block_side = kSide;
+  h.block_levels.resize(1);
+  const Header back = Header::parse(h.serialize());
+  EXPECT_EQ(back.block_side, kSide);
+  EXPECT_EQ(back.dims, h.dims);
+  EXPECT_EQ(back.block_levels.size(), 1u);
 }
 
 TEST(Compressor, HeaderSerializationRoundTrip) {
@@ -435,16 +496,19 @@ TEST(Compressor, HeaderSerializationRoundTrip) {
   h.prefix_bits = 3;
   h.data_min = -2.5;
   h.data_max = 9.75;
-  h.levels.resize(2);
-  h.levels[0].count = 300;
-  h.levels[0].progressive = true;
-  h.levels[0].n_planes = 5;
-  h.levels[0].loss = {0, 1, 2, 5, 10, 21};
-  h.levels[0].outlier_count = 3;
-  h.levels[1].count = 108;
-  h.levels[1].progressive = false;
-  h.levels[1].n_planes = 0;
-  h.levels[1].loss = {0};
+  h.block_side = 34;  // one block: the side is the largest extent
+  h.block_levels.resize(1);
+  auto& levels = h.block_levels[0];
+  levels.resize(2);
+  levels[0].count = 300;
+  levels[0].progressive = true;
+  levels[0].n_planes = 5;
+  levels[0].loss = {0, 1, 2, 5, 10, 21};
+  levels[0].outlier_count = 3;
+  levels[1].count = 108;
+  levels[1].progressive = false;
+  levels[1].n_planes = 0;
+  levels[1].loss = {0};
   Bytes raw = h.serialize();
   Header back = Header::parse(raw);
   EXPECT_EQ(back.dtype, h.dtype);
@@ -454,10 +518,14 @@ TEST(Compressor, HeaderSerializationRoundTrip) {
   EXPECT_EQ(back.prefix_bits, h.prefix_bits);
   EXPECT_EQ(back.data_min, h.data_min);
   EXPECT_EQ(back.data_max, h.data_max);
-  ASSERT_EQ(back.levels.size(), 2u);
-  EXPECT_EQ(back.levels[0].loss, h.levels[0].loss);
-  EXPECT_EQ(back.levels[0].outlier_count, 3u);
-  EXPECT_FALSE(back.levels[1].progressive);
+  EXPECT_EQ(back.format, 2u);
+  EXPECT_EQ(back.block_side, 34u);
+  ASSERT_EQ(back.block_levels.size(), 1u);
+  const auto& back_levels = back.block_levels[0];
+  ASSERT_EQ(back_levels.size(), 2u);
+  EXPECT_EQ(back_levels[0].loss, levels[0].loss);
+  EXPECT_EQ(back_levels[0].outlier_count, 3u);
+  EXPECT_FALSE(back_levels[1].progressive);
 }
 
 TEST(Compressor, PrefixBitsVariantsRoundTrip) {

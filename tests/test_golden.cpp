@@ -8,6 +8,15 @@
 // deposit order shows up here as a hash mismatch, so the word-parallel
 // engine is pinned to be a pure speedup.
 //
+// Whole-field archives are no longer written: compress() with block_side 0
+// writes a one-block grid (format v2, or v3 for the wavelet backend).  The
+// v1 and whole-field v3 constants therefore pin frozen fixtures under
+// tests/fixtures/, written by the earlier whole-field writer: each fixture's
+// fnv1a equals its pinned archive hash, its reconstructions hold, and the
+// one-block archive of the same field and options carries the same segments
+// byte for byte (only the key packing and header differ) and reconstructs
+// identically.
+//
 // Every case runs under two codec policies:
 //   * kTryAll must reproduce the pre-orchestration constants bit-for-bit —
 //     archive bytes AND reconstructions — pinning that archives written by
@@ -33,6 +42,7 @@
 
 #include "core/compressor.hpp"
 #include "core/progressive_reader.hpp"
+#include "io/archive.hpp"
 #include "util/ndarray.hpp"
 #include "util/rng.hpp"
 
@@ -92,22 +102,9 @@ std::uint64_t oneshot_full_hash(const Bytes& archive) {
   return hash_values(reader.data());
 }
 
+/// Archive hash plus the reconstruction hashes along the fixed ladder.
 template <typename T>
-GoldenHashes run_case(const Dims& dims, BackendId be, std::size_t block_side,
-                      std::size_t threshold, std::uint64_t seed,
-                      CodecPolicy codec) {
-  auto field = golden_field<T>(dims, seed);
-  Options opt;
-  opt.backend = be;
-  opt.block_side = block_side;
-  opt.progressive_threshold = threshold;
-  opt.error_bound = 1e-4;
-  opt.codec = codec;
-  // The constants pin the pre-v4 container bytes; the v4 integrity wrapper
-  // is covered by Golden.IntegrityV4Transparent below.
-  opt.integrity = false;
-  Bytes archive = compress(field.const_view(), opt);
-
+GoldenHashes hashes_of(const Bytes& archive) {
   GoldenHashes g{};
   g.archive = fnv1a(archive.data(), archive.size());
   MemorySource src{Bytes(archive)};
@@ -123,6 +120,68 @@ GoldenHashes run_case(const Dims& dims, BackendId be, std::size_t block_side,
   // is the one-shot full read bit for bit.
   EXPECT_EQ(g.full, oneshot_full_hash<T>(archive));
   return g;
+}
+
+template <typename T>
+Bytes golden_archive(const Dims& dims, BackendId be, std::size_t block_side,
+                     std::size_t threshold, std::uint64_t seed,
+                     CodecPolicy codec) {
+  auto field = golden_field<T>(dims, seed);
+  Options opt;
+  opt.backend = be;
+  opt.block_side = block_side;
+  opt.progressive_threshold = threshold;
+  opt.error_bound = 1e-4;
+  opt.codec = codec;
+  // The constants pin the pre-v4 container bytes; the v4 integrity wrapper
+  // is covered by Golden.IntegrityV4Transparent below.
+  opt.integrity = false;
+  return compress(field.const_view(), opt);
+}
+
+template <typename T>
+GoldenHashes run_case(const Dims& dims, BackendId be, std::size_t block_side,
+                      std::size_t threshold, std::uint64_t seed,
+                      CodecPolicy codec) {
+  return hashes_of<T>(
+      golden_archive<T>(dims, be, block_side, threshold, seed, codec));
+}
+
+/// A frozen archive under tests/fixtures/.
+Bytes fixture(const std::string& name) {
+  return read_file(std::string(IPCOMP_FIXTURE_DIR) + "/" + name);
+}
+
+std::vector<SegmentId> sorted(std::vector<SegmentId> ids) {
+  std::sort(ids.begin(), ids.end(), [](const SegmentId& a, const SegmentId& b) {
+    return std::tie(a.kind, a.level, a.plane, a.block) <
+           std::tie(b.kind, b.level, b.plane, b.block);
+  });
+  return ids;
+}
+
+/// The one-block archive the current writer makes of a fixture's field
+/// holds the fixture's segment set with byte-identical payloads, and
+/// reconstructs identically at every step of the ladder.
+template <typename T>
+void expect_one_block_matches(const char* name, const Bytes& frozen,
+                              const Bytes& one_block) {
+  MemorySource old_src{Bytes(frozen)};
+  MemorySource new_src{Bytes(one_block)};
+  EXPECT_NE(old_src.version(), kArchiveV2) << name;
+  EXPECT_NE(new_src.version(), kArchiveV1) << name;
+  const std::vector<SegmentId> ids = sorted(old_src.segment_ids());
+  ASSERT_EQ(ids, sorted(new_src.segment_ids()))
+      << name << ": segment set differs";
+  for (const SegmentId& id : ids) {
+    EXPECT_EQ(old_src.read_segment(id), new_src.read_segment(id))
+        << name << ": payload differs";
+  }
+  const GoldenHashes a = hashes_of<T>(frozen);
+  const GoldenHashes b = hashes_of<T>(one_block);
+  EXPECT_EQ(a.coarse, b.coarse) << name << ": coarse reconstruction differs";
+  EXPECT_EQ(a.mid, b.mid) << name << ": mid reconstruction differs";
+  EXPECT_EQ(a.full, b.full) << name << ": full reconstruction differs";
 }
 
 bool print_mode() { return std::getenv("IPCOMP_GOLDEN_PRINT") != nullptr; }
@@ -174,6 +233,14 @@ constexpr std::uint64_t kInterpV2F32ProbeArchive = 0xf5fb583307d20e69ull;
 constexpr std::uint64_t kWaveletV3WholeProbeArchive = 0x1e6dccaabbcd88d9ull;
 constexpr std::uint64_t kWaveletV3BlockProbeArchive = 0xedd47ae5a904bbcbull;
 
+// Archive hashes of the one-block archives compress() writes with
+// block_side 0 for the whole-field cases above (v2 interp, v3 wavelet).
+// Their reconstructions are the whole-field ones.
+constexpr std::uint64_t kInterpOneBlock = 0xf88d39db94436684ull;
+constexpr std::uint64_t kInterpOneBlockProbe = 0xd6acaa1edf6a193cull;
+constexpr std::uint64_t kWaveletOneBlock = 0x1ea4cf0c4b658535ull;
+constexpr std::uint64_t kWaveletOneBlockProbe = 0x62680979c3d32f73ull;
+
 /// Probe-policy expectation: new archive bytes, identical reconstructions.
 constexpr GoldenHashes with_archive(std::uint64_t archive,
                                     const GoldenHashes& legacy) {
@@ -203,10 +270,44 @@ void run_golden(const GoldenCase& c) {
         with_archive(c.probe_archive, c.legacy));
 }
 
+// A whole-field case: the frozen fixtures the earlier writer made of the
+// field (v1 or whole-field v3), and the one-block archive the current writer
+// makes of it with block_side 0.
+struct WholeFieldCase {
+  const char* name;
+  Dims dims;
+  BackendId backend;
+  std::size_t threshold;
+  std::uint64_t seed;
+  const char* fixture;  // tests/fixtures/<fixture>_{tryall,probe}.ipc
+  GoldenHashes legacy;  // try-all fixture
+  std::uint64_t probe_archive;  // probe fixture, same reconstructions
+  std::uint64_t one_block_archive;        // current writer, try-all
+  std::uint64_t one_block_probe_archive;  // current writer, probe
+};
+
+void run_whole_field(const WholeFieldCase& c) {
+  for (CodecPolicy codec : {CodecPolicy::kTryAll, CodecPolicy::kProbe}) {
+    const bool tryall = codec == CodecPolicy::kTryAll;
+    const std::string tag = tryall ? "tryall" : "probe";
+    const std::string name = std::string(c.name) + " [" + tag + "]";
+    const Bytes frozen = fixture(std::string(c.fixture) + "_" + tag + ".ipc");
+    const Bytes one_block = golden_archive<double>(c.dims, c.backend, 0,
+                                                   c.threshold, c.seed, codec);
+    check((name + " fixture").c_str(), hashes_of<double>(frozen),
+          with_archive(tryall ? c.legacy.archive : c.probe_archive, c.legacy));
+    check((name + " one-block").c_str(), hashes_of<double>(one_block),
+          with_archive(tryall ? c.one_block_archive : c.one_block_probe_archive,
+                       c.legacy));
+    expect_one_block_matches<double>(name.c_str(), frozen, one_block);
+  }
+}
+
 TEST(Golden, InterpV1Whole) {
-  run_golden<double>({"interp v1 whole-field 40^3 f64", Dims{40, 40, 40},
-                      BackendId::kInterp, 0, 4096, 11, kInterpV1,
-                      kInterpV1ProbeArchive});
+  run_whole_field({"interp v1 whole-field 40^3 f64", Dims{40, 40, 40},
+                   BackendId::kInterp, 4096, 11, "interp_v1_40_seed11",
+                   kInterpV1, kInterpV1ProbeArchive, kInterpOneBlock,
+                   kInterpOneBlockProbe});
 }
 
 TEST(Golden, InterpV2Block) {
@@ -222,9 +323,10 @@ TEST(Golden, InterpV2BlockF32) {
 }
 
 TEST(Golden, WaveletV3Whole) {
-  run_golden<double>({"wavelet v3 whole-field 24^3 f64", Dims{24, 24, 24},
-                      BackendId::kWavelet, 0, 256, 14, kWaveletV3Whole,
-                      kWaveletV3WholeProbeArchive});
+  run_whole_field({"wavelet v3 whole-field 24^3 f64", Dims{24, 24, 24},
+                   BackendId::kWavelet, 256, 14, "wavelet_v3_whole_24_seed14",
+                   kWaveletV3Whole, kWaveletV3WholeProbeArchive,
+                   kWaveletOneBlock, kWaveletOneBlockProbe});
 }
 
 TEST(Golden, WaveletV3Block) {
@@ -271,23 +373,9 @@ TEST(Golden, InterpV2Region) {
 // what it promises) shows up here.  The constants were captured while
 // uniform requests still had a planner of their own, and hold unchanged for
 // the one planner that treats them as the region over every block.
-struct LadderCase {
-  const char* name;
-  std::size_t side;  // cube edge
-  BackendId backend;
-  std::size_t block_side;
-  std::uint64_t seed;
-  std::array<std::uint64_t, 6> steps;
-};
-
 std::uint64_t plan_step_hash(const RetrievalPlan& p, const RetrievalStats& st) {
-  std::vector<SegmentId> ids = p.segments;
-  std::sort(ids.begin(), ids.end(), [](const SegmentId& a, const SegmentId& b) {
-    return std::tie(a.kind, a.level, a.plane, a.block) <
-           std::tie(b.kind, b.level, b.plane, b.block);
-  });
   std::vector<std::uint64_t> words;
-  for (const SegmentId& id : ids) {
+  for (const SegmentId& id : sorted(p.segments)) {
     words.push_back(std::uint64_t{id.kind} << 48 |
                     std::uint64_t{id.level} << 32 | id.plane);
     words.push_back(id.block);
@@ -298,22 +386,21 @@ std::uint64_t plan_step_hash(const RetrievalPlan& p, const RetrievalStats& st) {
   return fnv1a(words.data(), words.size() * sizeof(std::uint64_t));
 }
 
-void run_ladder(const LadderCase& c) {
-  const Dims dims{c.side, c.side, c.side};
-  auto field = golden_field<double>(dims, c.seed);
-  Options opt;
-  opt.backend = c.backend;
-  opt.block_side = c.block_side;
-  opt.progressive_threshold = 256;
-  opt.error_bound = 1e-4;
-  opt.integrity = false;
-  Bytes archive = compress(field.const_view(), opt);
+Bytes ladder_archive(std::size_t side, BackendId backend,
+                     std::size_t block_side, std::uint64_t seed) {
+  return golden_archive<double>(Dims{side, side, side}, backend, block_side,
+                                256, seed, CodecPolicy::kProbe);
+}
+
+void run_ladder(const char* name, const Bytes& archive, std::size_t side,
+                const std::array<std::uint64_t, 6>& steps) {
+  const Dims dims{side, side, side};
   MemorySource src{Bytes(archive)};
   ProgressiveReader<double> reader(src);
   const double eb = reader.compression_eb();
-  const std::size_t half = c.side / 2, far = c.side * 3 / 4;
+  const std::size_t half = side / 2, far = side * 3 / 4;
   const std::array<std::size_t, kMaxRank> origin{}, mid{half, half, half},
-      corner{far, far, far}, end{c.side, c.side, c.side};
+      corner{far, far, far}, end{side, side, side};
   const double bits_per_value = 0.85 * 8.0 *
                                 static_cast<double>(archive.size()) /
                                 static_cast<double>(dims.count());
@@ -328,33 +415,46 @@ void run_ladder(const LadderCase& c) {
   for (std::size_t i = 0; i < ladder.size(); ++i) {
     const RetrievalPlan p = reader.plan(ladder[i]);
     const RetrievalStats st = reader.execute(p);
-    EXPECT_EQ(st.bytes_new, p.bytes_new) << c.name << " step " << i;
-    EXPECT_EQ(st.guaranteed_error, p.guaranteed_error)
-        << c.name << " step " << i;
+    EXPECT_EQ(st.bytes_new, p.bytes_new) << name << " step " << i;
+    EXPECT_EQ(st.guaranteed_error, p.guaranteed_error) << name << " step " << i;
     const std::uint64_t h = plan_step_hash(p, st);
     if (print_mode()) {
-      std::printf("  // %s step %zu\n  0x%016llxull,\n", c.name, i,
+      std::printf("  // %s step %zu\n  0x%016llxull,\n", name, i,
                   static_cast<unsigned long long>(h));
       continue;
     }
-    EXPECT_EQ(h, c.steps[i]) << c.name << ": plan at step " << i << " ("
-                             << to_string(ladder[i], 3) << ") changed";
+    EXPECT_EQ(h, steps[i]) << name << ": plan at step " << i << " ("
+                           << to_string(ladder[i], 3) << ") changed";
   }
 }
 
 TEST(Golden, PlanLadder) {
-  run_ladder({"interp v1 whole-field 40^3", 40, BackendId::kInterp, 0, 21,
-              {0xb4836a60fdd971a6ull, 0x9322d2d9a3a2b63cull,
-               0x910bfdfcb6321acdull, 0xd17bc5caa83e51beull,
-               0x16146e8514579482ull, 0x435213e33af2f813ull}});
-  run_ladder({"interp v2 block16 40^3", 40, BackendId::kInterp, 16, 22,
-              {0xfb79375cb44bb4f5ull, 0xbcb0dad6b99d56b0ull,
-               0x2e48997c745455b0ull, 0x69d17ddb2fd9202cull,
-               0xaa93f104a5627e2aull, 0xdda672b2a8cb69e1ull}});
-  run_ladder({"wavelet v3 block16 24^3", 24, BackendId::kWavelet, 16, 23,
-              {0xb4907719eb773f4bull, 0xc4cc5e088d6df774ull,
-               0x87a472422daf7cccull, 0x97a6b9b759be9bedull,
-               0xfd17994c016f2938ull, 0xf13ee95c3ce8a3edull}});
+  // The v1 case reads the frozen fixture the earlier whole-field writer made
+  // of seed 21 (interp, 40^3, threshold 256, probe); its hash pins the file.
+  const Bytes v1 = fixture("interp_v1_40_seed21_probe.ipc");
+  ASSERT_EQ(fnv1a(v1.data(), v1.size()), 0x67581e52ad3fe6b2ull);
+  const std::array<std::uint64_t, 6> v1_steps = {
+      0xb4836a60fdd971a6ull, 0x9322d2d9a3a2b63cull, 0x910bfdfcb6321acdull,
+      0xd17bc5caa83e51beull, 0x16146e8514579482ull, 0x435213e33af2f813ull};
+  run_ladder("interp v1 whole-field 40^3", v1, 40, v1_steps);
+  run_ladder("interp v2 block16 40^3",
+             ladder_archive(40, BackendId::kInterp, 16, 22), 40,
+             {0xfb79375cb44bb4f5ull, 0xbcb0dad6b99d56b0ull,
+              0x2e48997c745455b0ull, 0x69d17ddb2fd9202cull,
+              0xaa93f104a5627e2aull, 0xdda672b2a8cb69e1ull});
+  run_ladder("wavelet v3 block16 24^3",
+             ladder_archive(24, BackendId::kWavelet, 16, 23), 24,
+             {0xb4907719eb773f4bull, 0xc4cc5e088d6df774ull,
+              0x87a472422daf7cccull, 0x97a6b9b759be9bedull,
+              0xfd17994c016f2938ull, 0xf13ee95c3ce8a3edull});
+  // The one-block archive of the v1 fixture's field holds the same segments
+  // and plans the v1 ladder, except that its first request also pays its
+  // three header bytes more (block side and block count).
+  const Bytes one_block = ladder_archive(40, BackendId::kInterp, 0, 21);
+  expect_one_block_matches<double>("ladder seed 21", v1, one_block);
+  std::array<std::uint64_t, 6> one_block_steps = v1_steps;
+  one_block_steps[0] = 0x3cfb7c7473892c99ull;
+  run_ladder("interp one-block 40^3", one_block, 40, one_block_steps);
 }
 
 // The v4 integrity wrapper (the default) must be transparent: identical

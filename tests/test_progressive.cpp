@@ -52,7 +52,8 @@ TEST_P(ProgressiveErrorBound, GuaranteeHoldsAcrossTargets) {
       // actual <= eb + ratio * (target - eb), where ratio is the worst-case
       // amplification gap between the two models across the levels.
       const unsigned rank = static_cast<unsigned>(field.dims().rank());
-      const unsigned L = static_cast<unsigned>(reader.header().levels.size());
+      const unsigned L =
+          static_cast<unsigned>(reader.header().block_levels[0].size());
       double ratio = 1.0;
       for (unsigned l = 1; l <= L; ++l) {
         ratio = std::max(

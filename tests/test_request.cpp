@@ -1,7 +1,8 @@
 // Plan/execute retrieval API: Request/RetrievalPlan semantics, region
 // requests with fidelity targets, plan purity/prediction exactness, stale-
 // plan rejection, byte-accounting invariants, and FileSource read coalescing
-// through the reader — across both backends and block modes (v1/v2/v3).
+// through the reader — across both backends, each compressed whole (one
+// block) and in blocks (v2/v3).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -38,7 +39,7 @@ class RequestApi : public ::testing::TestWithParam<Combo> {
 
 INSTANTIATE_TEST_SUITE_P(
     Combos, RequestApi,
-    ::testing::Values(Combo{BackendId::kInterp, 0, "interp_v1"},
+    ::testing::Values(Combo{BackendId::kInterp, 0, "interp_v2_whole"},
                       Combo{BackendId::kInterp, 32, "interp_v2_b32"},
                       Combo{BackendId::kWavelet, 0, "wavelet_v3"},
                       Combo{BackendId::kWavelet, 32, "wavelet_v3_b32"}),
