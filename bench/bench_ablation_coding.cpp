@@ -1,20 +1,17 @@
-// Ablation A (design choices of paper §4.4): integer representation for
+// Coding ablation (design choices of paper §4.4): integer representation for
 // bitplane coding — negabinary vs two's complement vs sign-magnitude — and
 // the predictive-coder prefix width.
 //
 // Measures (a) the total compressed size of all plane segments under each
 // representation, (b) the truncation uncertainty at increasing dropped-plane
-// depths, (c) the end-to-end archive size for prefix widths 0..3, (d) the
-// codec-orchestration policy: per-method routing census, plane bytes and
-// encode throughput of the entropy-probed router vs the legacy strategies.
+// depths, and (c) the end-to-end archive size for prefix widths 0..3.  The
+// codec router is compared with the try-all encoder in bench_fig8_speed's
+// codec census.
 #include <cmath>
-
-#include "util/timer.hpp"
 
 #include "bench_common.hpp"
 #include "bitplane/bitplane.hpp"
 #include "bitplane/negabinary.hpp"
-#include "bitplane/predictive.hpp"
 #include "coding/codec.hpp"
 #include "core/compressor.hpp"
 #include "interp/sweep.hpp"
@@ -123,39 +120,8 @@ int main() {
     tr.row({std::to_string(prefix), std::to_string(s),
             TableReporter::num(100.0 * s / ref, 4) + "%"});
   }
-  std::printf("\n--- (d) codec orchestration policy on the plane segments ---\n");
-  {
-    // The per-plane byte streams the real pipeline feeds the codec: the
-    // negabinary residual planes of the 2-bit predictive XOR.
-    const std::vector<Bytes> segs =
-        encode_level(nb, /*with_loss=*/false, kDefaultPrefixBits).planes;
-    TableReporter td({"policy", "plane bytes", "encode MB/s",
-                      "empty/raw/rle/lzh/bitpack"});
-    std::size_t raw_total = 0;
-    for (const Bytes& s : segs) raw_total += s.size();
-    for (CodecPolicy policy :
-         {CodecPolicy::kProbe, CodecPolicy::kTryAll, CodecPolicy::kRle}) {
-      std::size_t counts[5] = {};
-      std::size_t total = 0;
-      Timer timer;
-      for (const Bytes& s : segs) {
-        Bytes enc = codec_compress({s.data(), s.size()}, policy);
-        total += enc.size();
-        ++counts[enc[0] < 5 ? enc[0] : 1];
-      }
-      const double secs = timer.seconds();
-      td.row({to_string(policy), std::to_string(total),
-              TableReporter::num(mb_per_s(raw_total, secs), 5),
-              std::to_string(counts[0]) + "/" + std::to_string(counts[1]) +
-                  "/" + std::to_string(counts[2]) + "/" +
-                  std::to_string(counts[3]) + "/" + std::to_string(counts[4])});
-    }
-  }
-
   std::printf("\nExpected shape: negabinary smallest planes and ~2/3 the "
               "truncation uncertainty of sign-magnitude; 2-bit prefix at or "
-              "near the size optimum (paper Table 2); probe routing at or "
-              "near try-all size at a higher encode rate, high planes to "
-              "empty/bitpack and low planes to raw.\n");
+              "near the size optimum (paper Table 2).\n");
   return 0;
 }

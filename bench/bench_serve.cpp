@@ -15,11 +15,12 @@
 //
 // A third block drives the same schedule through the network daemon
 // (RemoteReader -> ipc serve): over TCP loopback with the mmap storage path
-// and with plain fread, and over a Unix-domain socket with mmap.  It
-// measures remote throughput, the median request latency of TCP against
-// Unix (CI asserts TCP stays within 1.5x: the transport floor), and the
-// compressed bytes actually on the wire against the logical bytes delivered
-// and the resend-everything baseline a non-progressive protocol would move.
+// and with FileSource reads (the "fread" keys), and over a Unix-domain
+// socket with mmap.  It measures remote throughput, the median request
+// latency of TCP against Unix (CI asserts TCP stays within 1.5x: the
+// transport floor), and the compressed bytes actually on the wire against
+// the logical bytes delivered and the resend-everything baseline a
+// non-progressive protocol would move.
 //
 // A fourth block measures the v4 integrity machinery itself: checksum64
 // (word-parallel XXH64) over every segment payload of the bench archive,

@@ -28,7 +28,7 @@ int main() {
                TableReporter::num(hi, 4), TableReporter::num(mean, 4)});
   }
   std::printf("\nDatasets are deterministic synthetic stand-ins for the "
-              "SDRBench originals (DESIGN.md, substitution table); use "
+              "SDRBench originals at the paper's dimensions; use "
               "sdr_raw_read() to run every harness on the real files "
               "instead.\n");
   return 0;

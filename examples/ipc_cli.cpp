@@ -2,7 +2,7 @@
 //
 //   ipc compress <input.raw> <output.ipc> --dims ZxYxX [--type f64|f32]
 //                [--eb 1e-6] [--abs] [--interp cubic|linear] [--block-side N]
-//                [--backend interp|wavelet] [--codec probe|tryall|rle]
+//                [--backend interp|wavelet]
 //   ipc retrieve <archive.ipc> <output.raw>
 //                [--eb E | --bytes N | --bitrate B | --full]
 //                [--region z0:z1xy0:y1xx0:x1] [--dry-run]
@@ -24,9 +24,7 @@
 // guaranteed error — without fetching a payload byte (the output file may be
 // omitted).  --backend selects the progressive backend (interp = the paper's
 // interpolation predictor, wavelet = CDF 9/7; wavelet archives use format
-// v3).  --codec picks the per-segment codec policy (probe = entropy-probed
-// routing, the default; tryall = legacy encode-both-keep-smallest, byte-
-// identical to pre-orchestration archives; rle = cheapest encode stage).
+// v3).
 // `serve` drives N concurrent client sessions through one shared
 // ArchiveSet (segment LRU cache + pooled I/O) and reports throughput, cache
 // hit rate and physical-vs-logical I/O; --quota caps each session's bytes
@@ -69,7 +67,7 @@ using namespace ipcomp;
       "usage:\n"
       "  ipc compress <input.raw> <output.ipc> --dims ZxYxX [--type f64|f32]\n"
       "               [--eb 1e-6] [--abs] [--interp cubic|linear] [--block-side N]\n"
-      "               [--backend interp|wavelet] [--codec probe|tryall|rle]\n"
+      "               [--backend interp|wavelet]\n"
       "  ipc retrieve <archive.ipc> <output.raw>\n"
       "               [--eb E | --bytes N | --bitrate B | --full]\n"
       "               [--region z0:z1xy0:y1xx0:x1] [--dry-run]\n"
@@ -243,17 +241,6 @@ int do_compress(const Args& a) {
   }
   opt.block_side =
       a.get("block-side") ? parse_size(*a.get("block-side"), "block-side") : 0;
-  if (auto codec = a.get("codec")) {
-    if (*codec == "probe") {
-      opt.codec = CodecPolicy::kProbe;
-    } else if (*codec == "tryall") {
-      opt.codec = CodecPolicy::kTryAll;
-    } else if (*codec == "rle") {
-      opt.codec = CodecPolicy::kRle;
-    } else {
-      usage("unknown codec policy '" + *codec + "' (probe|tryall|rle)");
-    }
-  }
   Bytes archive = compress(NdConstView<T>(values.data(), dims), opt);
   write_file(a.positional[1], archive);
 
@@ -584,7 +571,7 @@ int do_serve(const Args& a) {
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       for (int r = 0; r < rounds; ++r) {
-        Session<T> session(handle, {}, quota);
+        Session<T> session(handle, quota);
         const Request traffic[] = {
             Request::error_bound(c % 2 ? 1e-2 : 1e-3),
             Request::bytes(handle->total_size() / 4),
@@ -651,7 +638,7 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "compress") {
       args.allow_only({"dims", "type", "eb", "abs", "interp", "block-side",
-                       "backend", "codec"});
+                       "backend"});
       if (args.positional.size() != 2 || !args.get("dims")) usage();
       return f32 ? do_compress<float>(args) : do_compress<double>(args);
     }

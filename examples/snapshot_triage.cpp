@@ -8,6 +8,7 @@
 // loaded.
 //
 //   ./snapshot_triage [n_snapshots]
+#include <cmath>
 #include <iostream>
 #include <string>
 #include <vector>

@@ -112,6 +112,25 @@ for f in "${sources[@]}"; do
            | cut -d: -f1 | sed 's/$/:/')
 done
 
+# A comment may name a Markdown file only if git tracks it (by path, or by
+# basename for a bare name), so no comment sends readers to a document that
+# is not in the repository.
+mapfile -t tracked_md < <(git ls-files '*.md')
+md_tracked() {
+  local t
+  for t in "${tracked_md[@]}"; do
+    case "$t" in "$1" | */"$1") return 0 ;; esac
+  done
+  return 1
+}
+for f in "${sources[@]}"; do
+  while IFS=: read -r line text; do
+    for name in $(grep -oE '[[:alnum:]_./-]+\.md\b' <<< "${text#*//}"); do
+      md_tracked "$name" || fail "$f:$line: comment names $name, which git does not track"
+    done
+  done < <(grep -nE '//.*\.md\b' "$f")
+done
+
 [ "$failures" -eq 0 ] && echo "  custom lint: clean"
 
 # ---- stage 2: clang-format ----------------------------------------------

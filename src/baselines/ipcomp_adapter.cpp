@@ -46,14 +46,14 @@ RetrievalStats checked_retrieve(ProgressiveReader<double>& reader,
 
 std::vector<double> IpcompAdapter::decompress(const Bytes& archive) {
   MemorySource src{Bytes(archive)};
-  ProgressiveReader<double> reader(src, cfg_);
+  ProgressiveReader<double> reader(src);
   checked_retrieve(reader, Request::full());
   return reader.data();
 }
 
 Retrieval IpcompAdapter::retrieve_error(const Bytes& archive, double target) {
   MemorySource src{Bytes(archive)};
-  ProgressiveReader<double> reader(src, cfg_);
+  ProgressiveReader<double> reader(src);
   auto st = checked_retrieve(reader, Request::error_bound(target));
   Retrieval out;
   out.data = reader.data();
@@ -65,7 +65,7 @@ Retrieval IpcompAdapter::retrieve_error(const Bytes& archive, double target) {
 
 Retrieval IpcompAdapter::retrieve_bytes(const Bytes& archive, std::uint64_t budget) {
   MemorySource src{Bytes(archive)};
-  ProgressiveReader<double> reader(src, cfg_);
+  ProgressiveReader<double> reader(src);
   auto st = checked_retrieve(reader, Request::bytes(budget));
   Retrieval out;
   out.data = reader.data();
@@ -90,14 +90,14 @@ std::vector<std::shared_ptr<ProgressiveCompressor>> evaluation_lineup() {
 std::shared_ptr<ProgressiveCompressor> ipcomp_block_variant() {
   Options opt;
   opt.block_side = 32;
-  return std::make_shared<IpcompAdapter>(opt, ReaderConfig{}, "IPComp-B32");
+  return std::make_shared<IpcompAdapter>(opt, "IPComp-B32");
 }
 
 std::shared_ptr<ProgressiveCompressor> ipcomp_wavelet_variant() {
   Options opt;
   opt.backend = BackendId::kWavelet;
   opt.block_side = 32;
-  return std::make_shared<IpcompAdapter>(opt, ReaderConfig{}, "IPComp-W32");
+  return std::make_shared<IpcompAdapter>(opt, "IPComp-W32");
 }
 
 

@@ -6,16 +6,13 @@
 
 #include "baselines/baseline.hpp"
 #include "core/options.hpp"
-#include "core/progressive_reader.hpp"
-#include "loader/error_model.hpp"
 
 namespace ipcomp {
 
 class IpcompAdapter final : public ProgressiveCompressor {
  public:
-  explicit IpcompAdapter(Options opt = {}, ReaderConfig cfg = {},
-                         std::string name = "IPComp")
-      : opt_(opt), cfg_(cfg), name_(std::move(name)) {
+  explicit IpcompAdapter(Options opt = {}, std::string name = "IPComp")
+      : opt_(opt), name_(std::move(name)) {
     opt_.relative = false;  // the adapter interface speaks absolute bounds
   }
 
@@ -28,7 +25,6 @@ class IpcompAdapter final : public ProgressiveCompressor {
 
  private:
   Options opt_;
-  ReaderConfig cfg_;
   std::string name_;
 };
 

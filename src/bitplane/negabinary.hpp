@@ -8,7 +8,8 @@
 //
 // Because decoding is *linear over bit positions*, the value lost by zeroing
 // the d lowest planes of u is exactly the decode of those d bits in
-// isolation — the fact the optimizer's δy tables rest on (DESIGN.md §6.3).
+// isolation.  That makes the loss of a truncation computable per value at
+// compression time, which is what the optimizer's δy tables record.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,9 @@
 #include "coding/codec.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "coding/bitpack.hpp"
 #include "coding/entropy.hpp"
@@ -11,15 +11,6 @@
 #include "coding/rle.hpp"
 
 namespace ipcomp {
-
-const char* to_string(CodecPolicy policy) {
-  switch (policy) {
-    case CodecPolicy::kProbe: return "probe";
-    case CodecPolicy::kTryAll: return "tryall";
-    case CodecPolicy::kRle: return "rle";
-  }
-  return "?";
-}
 
 const char* to_string(CodecMethod method) {
   switch (method) {
@@ -30,10 +21,6 @@ const char* to_string(CodecMethod method) {
     case CodecMethod::kBitpack: return "bitpack";
   }
   return "?";
-}
-
-bool codec_policy_known(std::uint8_t id) {
-  return id <= static_cast<std::uint8_t>(CodecPolicy::kRle);
 }
 
 CodecProbe codec_probe(std::span<const std::uint8_t> input) {
@@ -95,35 +82,9 @@ Bytes tagged(CodecMethod method, Bytes payload) {
   return out;
 }
 
-/// Legacy strategy (pre-orchestration), kept byte-for-byte: archives written
-/// by earlier releases are pinned to this exact output by the golden suite.
-Bytes compress_try_all(std::span<const std::uint8_t> input, bool try_lzh) {
-  const bool all_zero = std::all_of(input.begin(), input.end(),
-                                    [](std::uint8_t b) { return b == 0; });
-  if (all_zero) {
-    return {static_cast<std::uint8_t>(CodecMethod::kEmpty)};
-  }
+}  // namespace
 
-  Bytes best = rle_encode(input);
-  CodecMethod method = CodecMethod::kRle;
-
-  if (try_lzh && input.size() >= 64) {
-    Bytes lz = lzh_compress(input);
-    if (lz.size() < best.size()) {
-      best = std::move(lz);
-      method = CodecMethod::kLzh;
-    }
-  }
-
-  if (input.size() < best.size()) {
-    best.assign(input.begin(), input.end());
-    method = CodecMethod::kRaw;
-  }
-
-  return tagged(method, std::move(best));
-}
-
-Bytes compress_probe(std::span<const std::uint8_t> input) {
+Bytes codec_compress(std::span<const std::uint8_t> input) {
   const CodecProbe probe = codec_probe(input);
   CodecMethod method = codec_route(probe, input);
   Bytes payload;
@@ -149,17 +110,6 @@ Bytes compress_probe(std::span<const std::uint8_t> input) {
     method = CodecMethod::kRaw;
   }
   return tagged(method, std::move(payload));
-}
-
-}  // namespace
-
-Bytes codec_compress(std::span<const std::uint8_t> input, CodecPolicy policy) {
-  switch (policy) {
-    case CodecPolicy::kProbe: return compress_probe(input);
-    case CodecPolicy::kTryAll: return compress_try_all(input, /*try_lzh=*/true);
-    case CodecPolicy::kRle: return compress_try_all(input, /*try_lzh=*/false);
-  }
-  throw std::runtime_error("codec: unknown policy");
 }
 
 Bytes codec_decompress(std::span<const std::uint8_t> input, std::size_t output_size) {

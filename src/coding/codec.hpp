@@ -6,30 +6,23 @@
 // caller always knows the decoded size (plane sizes are derivable from the
 // header), so methods need not embed it.
 //
-// How the method is chosen is the codec *policy*:
+// The method is chosen by entropy-probed routing.  One word-parallel pass
+// measures the segment (set-bit count, nonzero bytes; byte entropy only when
+// the cheap counters are inconclusive) and routes it to the one codec that
+// fits its shape — no speculative encodes:
 //
-//   * kProbe (default) — entropy-probed routing.  One word-parallel pass
-//     measures the segment (set-bit count, nonzero bytes; byte entropy only
-//     when the cheap counters are inconclusive) and routes it to the one
-//     codec that fits its shape — no speculative encodes:
+//   all bits zero                          -> kEmpty    (1 byte)
+//   sparse isolated bits (see thresholds)  -> kBitpack  (gap varints)
+//   zero bytes dominate                    -> kRle      (zero runs)
+//   near-random bytes (entropy >= cutoff)  -> kRaw      (stored)
+//   otherwise structured                   -> kLzh      (LZ77+Huffman)
 //
-//       all bits zero                          -> kEmpty    (1 byte)
-//       sparse isolated bits (see thresholds)  -> kBitpack  (gap varints)
-//       zero bytes dominate                    -> kRle      (zero runs)
-//       near-random bytes (entropy >= cutoff)  -> kRaw      (stored)
-//       otherwise structured                   -> kLzh      (LZ77+Huffman)
+// A routed encode that fails to beat raw storage still falls back to kRaw,
+// so the output is never more than one tag byte over the input.
 //
-//     A routed encode that fails to beat raw storage still falls back to
-//     kRaw, so the output is never more than one tag byte over the input.
-//   * kTryAll — the legacy strategy: encode with RLE *and* LZ77+Huffman and
-//     keep the smallest of those and raw.  Byte-identical to the archives
-//     written before the orchestrated stage existed (golden-pinned); pays
-//     two full encodes per segment.
-//   * kRle — legacy `try_lzh = false`: zero-run RLE versus raw only, for
-//     callers that want the cheapest possible encode stage.
-//
-// Decoding is policy-independent: the tag alone selects the method, so every
-// policy (and every archive ever written) decodes through the same switch.
+// Decoding dispatches on the tag alone, so archives written by earlier
+// releases — whose encoders tried RLE and LZH and kept the smaller — decode
+// through the same switch.
 #pragma once
 
 #include <span>
@@ -46,16 +39,7 @@ enum class CodecMethod : std::uint8_t {
   kBitpack = 4,  // varint gaps between set bits (coding/bitpack.hpp)
 };
 
-/// How codec_compress picks a CodecMethod per segment (see file comment).
-enum class CodecPolicy : std::uint8_t {
-  kProbe = 0,   // entropy-probed routing, one encode per segment (default)
-  kTryAll = 1,  // legacy: RLE and LZH both encoded, smallest kept
-  kRle = 2,     // legacy try_lzh = false: RLE versus raw only
-};
-
-const char* to_string(CodecPolicy policy);
 const char* to_string(CodecMethod method);
-bool codec_policy_known(std::uint8_t id);
 
 // ---- probe thresholds (README "Codec orchestration" routing table) -------
 
@@ -88,19 +72,18 @@ struct CodecProbe {
 
 CodecProbe codec_probe(std::span<const std::uint8_t> input);
 
-/// The kProbe routing decision for a measured segment (byte entropy is
+/// The routing decision for a measured segment (byte entropy is
 /// computed here only when the dense branch needs it).  Exposed for tests
 /// and the routing-census benchmarks.
 CodecMethod codec_route(const CodecProbe& probe,
                         std::span<const std::uint8_t> input);
 
-/// Compress under `policy`; the chosen method's tag leads the output.
-Bytes codec_compress(std::span<const std::uint8_t> input,
-                     CodecPolicy policy = CodecPolicy::kProbe);
+/// Compress with the routed method; the method's tag leads the output.
+Bytes codec_compress(std::span<const std::uint8_t> input);
 
 /// Inverse of codec_compress; `output_size` is the decoded byte count.
-/// Policy-independent: dispatches on the tag byte and rejects unknown tags,
-/// so archives written under any policy (or before policies existed) decode.
+/// Dispatches on the tag byte and rejects unknown tags, so archives written
+/// by any earlier encoder decode too.
 Bytes codec_decompress(std::span<const std::uint8_t> input, std::size_t output_size);
 
 }  // namespace ipcomp

@@ -55,8 +55,7 @@ const ProgressiveBackend* backend_by_name(const std::string& name) {
   }
 }
 
-Bytes serialize_base_segment(const LevelScratch& ls, bool progressive,
-                             CodecPolicy codec) {
+Bytes serialize_base_segment(const LevelScratch& ls, bool progressive) {
   ByteWriter w;
   w.varint(ls.outliers.size());
   std::uint64_t prev = 0;
@@ -75,7 +74,7 @@ Bytes serialize_base_segment(const LevelScratch& ls, bool progressive,
       raw[4 * i + 2] = static_cast<std::uint8_t>(c >> 16);
       raw[4 * i + 3] = static_cast<std::uint8_t>(c >> 24);
     }
-    Bytes packed = codec_compress({raw.data(), raw.size()}, codec);
+    Bytes packed = codec_compress({raw.data(), raw.size()});
     w.varint(packed.size());
     w.bytes(packed);
   }
@@ -84,13 +83,12 @@ Bytes serialize_base_segment(const LevelScratch& ls, bool progressive,
 
 void append_plane_segments(std::vector<PlaneBits>&& planes,
                            std::uint16_t level_tag, std::uint32_t block,
-                           CodecPolicy codec,
                            std::vector<std::pair<SegmentId, Bytes>>& out) {
   const unsigned n_planes = static_cast<unsigned>(planes.size());
   if (n_planes == 0) return;
   std::vector<Bytes> packed(n_planes);
   parallel_for(0, n_planes, [&](std::size_t k) {
-    packed[k] = codec_compress({planes[k].data(), planes[k].size()}, codec);
+    packed[k] = codec_compress({planes[k].data(), planes[k].size()});
   }, /*grain=*/1);
   for (unsigned k = 0; k < n_planes; ++k) {
     out.emplace_back(SegmentId{kSegPlane, level_tag, k, block},

@@ -27,7 +27,6 @@
 #include "core/header.hpp"
 #include "core/options.hpp"
 #include "io/archive.hpp"
-#include "loader/error_model.hpp"
 #include "util/dims.hpp"
 
 namespace ipcomp {
@@ -100,8 +99,7 @@ class ProgressiveBackend {
 
   /// Amplification applied to level `l`'s (1-based, 1 = finest) truncation
   /// loss when planning retrievals and computing guaranteed errors.
-  virtual double amplification(const Header& h, ErrorModel model,
-                               unsigned l) const = 0;
+  virtual double amplification(const Header& h, unsigned l) const = 0;
 
   /// Compress one block.  `original` points at the block's origin element
   /// inside the enclosing field addressed by `estrides`; the field is only
@@ -145,8 +143,7 @@ const ProgressiveBackend* backend_by_name(const std::string& name);
 /// Serialize one level's base segment: the delta-coded outlier list plus,
 /// for solid (non-progressive) levels, the whole code array through the
 /// codec.  The scratch's outliers must already be sorted by slot.
-Bytes serialize_base_segment(const LevelScratch& ls, bool progressive,
-                             CodecPolicy codec);
+Bytes serialize_base_segment(const LevelScratch& ls, bool progressive);
 
 /// Pack a progressive level's planes (encode_level's fused pass: predictive
 /// residuals when the archive's prefix_bits > 0) into per-plane segments —
@@ -154,7 +151,6 @@ Bytes serialize_base_segment(const LevelScratch& ls, bool progressive,
 /// to `out` in table order k = 0 .. planes.size()-1.
 void append_plane_segments(std::vector<PlaneBits>&& planes,
                            std::uint16_t level_tag, std::uint32_t block,
-                           CodecPolicy codec,
                            std::vector<std::pair<SegmentId, Bytes>>& out);
 
 }  // namespace ipcomp

@@ -7,6 +7,7 @@
 #include "bitplane/negabinary.hpp"
 #include "core/blocks.hpp"
 #include "interp/sweep.hpp"
+#include "loader/error_model.hpp"
 #include "quant/quantizer.hpp"
 #include "util/sync.hpp"
 
@@ -87,7 +88,7 @@ BlockCompressResult compress_impl(const T* original, const Dims& block_dims,
       lh.loss.assign(1, 0);
       out.segments.emplace_back(
           SegmentId{kSegBase, level_tag, 0, block},
-          serialize_base_segment(scratch, false, opt.codec));
+          serialize_base_segment(scratch, false));
       continue;
     }
 
@@ -103,9 +104,9 @@ BlockCompressResult compress_impl(const T* original, const Dims& block_dims,
 
     out.segments.emplace_back(
         SegmentId{kSegBase, level_tag, 0, block},
-        serialize_base_segment(scratch, true, opt.codec));
+        serialize_base_segment(scratch, true));
 
-    append_plane_segments(std::move(enc.planes), level_tag, block, opt.codec,
+    append_plane_segments(std::move(enc.planes), level_tag, block,
                           out.segments);
   }
   return out;
@@ -135,10 +136,8 @@ std::vector<std::uint64_t> InterpBackend::level_counts(
   return {ls.level_count.begin(), ls.level_count.end()};
 }
 
-double InterpBackend::amplification(const Header& h, ErrorModel model,
-                                    unsigned l) const {
-  return level_amplification(model, h.interp,
-                             static_cast<unsigned>(h.dims.rank()), l);
+double InterpBackend::amplification(const Header& h, unsigned l) const {
+  return level_amplification(h.interp, static_cast<unsigned>(h.dims.rank()), l);
 }
 
 BlockCompressResult InterpBackend::compress_block(

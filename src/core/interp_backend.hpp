@@ -22,8 +22,7 @@ class InterpBackend final : public ProgressiveBackend {
   bool has_aux_segment() const override { return false; }
   Bytes metadata(const Header&) const override { return {}; }
   void validate_metadata(const Header&) const override {}
-  double amplification(const Header& h, ErrorModel model,
-                       unsigned l) const override;
+  double amplification(const Header& h, unsigned l) const override;
 
   BlockCompressResult compress_block(
       const float* original, float* work, const Dims& block_dims,

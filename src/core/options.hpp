@@ -3,7 +3,6 @@
 
 #include <cstddef>
 
-#include "coding/codec.hpp"
 #include "core/header.hpp"
 #include "interp/interpolation.hpp"
 
@@ -32,13 +31,6 @@ struct Options {
   /// Levels with fewer elements than this are stored whole (not bitplaned):
   /// their segments are tiny and always loaded — the paper's L_p cutoff.
   std::size_t progressive_threshold = 4096;
-
-  /// How the lossless stage picks a per-segment codec (coding/codec.hpp).
-  /// kProbe routes each segment by a cheap entropy probe (default); kTryAll
-  /// is the legacy encode-both-keep-smallest strategy (byte-identical to
-  /// pre-orchestration archives, replacing `try_lzh = true`); kRle is the
-  /// old `try_lzh = false` cheap path.
-  CodecPolicy codec = CodecPolicy::kProbe;
 
   /// Record a per-segment XXH64 checksum at build time (archive container
   /// v4, wrapping whichever base version the backend picks).  Every physical

@@ -41,8 +41,7 @@ unsigned block_planes(const LevelHeader& lh, unsigned axis, unsigned depth) {
 }  // namespace
 
 template <typename T>
-ProgressiveReader<T>::ProgressiveReader(SegmentSource& src, ReaderConfig cfg)
-    : src_(src), cfg_(cfg) {
+ProgressiveReader<T>::ProgressiveReader(SegmentSource& src) : src_(src) {
   const std::size_t at_open = src_.stats().bytes_read;
   header_ = Header::parse(src_.header());
   unattributed_open_cost_ = src_.stats().bytes_read - at_open;
@@ -245,8 +244,7 @@ void ProgressiveReader<T>::plan_axis(
       in.already_loaded = 0;
       continue;
     }
-    const double amp =
-        backend_->amplification(header_, cfg_.error_model, li + 1);
+    const double amp = backend_->amplification(header_, li + 1);
     in.plane_size.assign(D, 0);
     in.err.assign(D + 1, 0.0);
     // The axis aligns plane indices at the LSB of the deepest in-scope block
@@ -309,8 +307,7 @@ double ProgressiveReader<T>::guarantee(
   const double step = 2.0 * header_.eb;
   double err = header_.eb;
   for (unsigned li = 0; li < n_levels_; ++li) {
-    const double amp =
-        backend_->amplification(header_, cfg_.error_model, li + 1);
+    const double amp = backend_->amplification(header_, li + 1);
     double worst = 0.0;
     bool any = false;
     for (std::uint32_t b : blocks) {
@@ -366,7 +363,7 @@ RetrievalPlan ProgressiveReader<T>::plan(const Request& req) const {
   if (std::holds_alternative<Request::Full>(req.target)) {
     lp.planes_to_use.assign(depths.begin(), depths.end());
   } else if (const auto* eb = std::get_if<Request::ErrorBound>(&req.target)) {
-    lp = plan_error_bound(inputs, eb->target - header_.eb, cfg_.planner);
+    lp = plan_error_bound(inputs, eb->target - header_.eb);
   } else {
     std::uint64_t budget = 0;
     if (const auto* bb = std::get_if<Request::ByteBudget>(&req.target)) {
@@ -383,7 +380,7 @@ RetrievalPlan ProgressiveReader<T>::plan(const Request& req) const {
     }
     const std::uint64_t remaining =
         budget > base_bytes ? budget - base_bytes : 0;
-    lp = plan_byte_budget(inputs, remaining, cfg_.planner);
+    lp = plan_byte_budget(inputs, remaining);
   }
 
   p.plane_targets.assign(n_levels_, 0);

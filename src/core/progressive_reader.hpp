@@ -47,15 +47,9 @@
 #include "core/header.hpp"
 #include "core/request.hpp"
 #include "io/archive.hpp"
-#include "loader/error_model.hpp"
 #include "loader/optimizer.hpp"
 
 namespace ipcomp {
-
-struct ReaderConfig {
-  ErrorModel error_model = ErrorModel::kConservative;
-  PlannerKind planner = PlannerKind::kDynamicProgramming;
-};
 
 /// Outcome of one retrieval request.
 struct RetrievalStats {
@@ -90,7 +84,7 @@ struct RetrievalStats {
 template <typename T>
 class ProgressiveReader {
  public:
-  explicit ProgressiveReader(SegmentSource& src, ReaderConfig cfg = {});
+  explicit ProgressiveReader(SegmentSource& src);
 
   /// Compute what `req` would fetch, without any payload I/O: plan() touches
   /// only the parsed header and the segment-size index (both part of the
@@ -200,13 +194,12 @@ class ProgressiveReader {
   void plan_block_base(std::size_t b, std::vector<SegmentId>& out) const;
 
   // ---- retrieval state --------------------------------------------------
-  // Everything below `src_`/`cfg_` is the externally-synchronized mutable
+  // Everything below `src_` is the externally-synchronized mutable
   // state of the class contract above: written only by the constructor and
   // execute() (via decode_base / decode_planes), read by plan() and the
   // const accessors.  No member function writes any of it
   // from a const path — that is what keeps concurrent plan() calls pure.
   SegmentSource& src_;
-  ReaderConfig cfg_;
   const ProgressiveBackend* backend_ = nullptr;
   /// Header/index bytes charged at construction, attributed to the first
   /// request so that bytes_new sums to bytes_total.

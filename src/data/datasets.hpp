@@ -4,8 +4,9 @@
 // speed, S3D combustion) are public but large; this module generates
 // deterministic fields that reproduce the traits the compressors react to:
 // multi-scale spatial correlation, layered fronts, sharp flame surfaces and
-// near-zero backgrounds (DESIGN.md §2 documents the substitution).  A raw
-// reader (`sdr_raw_read`) accepts real SDRBench .dat/.f32/.f64 files so the
+// near-zero backgrounds.  `standard_datasets(DataScale::kPaper)` keeps the
+// originals' dimensions, so a harness run at that scale has Table 3's shapes
+// with synthetic values.  A raw reader (`sdr_raw_read`) accepts real SDRBench .dat/.f32/.f64 files so the
 // harnesses can run on the original data when it is available.
 #pragma once
 

@@ -3,8 +3,9 @@
 // Both kernels use fixed coefficients at fixed relative indices, so nothing
 // is stored to reconstruct predictions.  Boundary handling degrades cubic →
 // linear → nearest-copy; every kernel keeps ‖coefficients‖₁ ≤ p so the error
-// propagation bound of Theorem 1 applies (no extrapolation, whose ‖·‖₁ = 3,
-// is ever used — see DESIGN.md §6.6).
+// propagation bound of Theorem 1 applies.  Extrapolation is never used: a
+// linear extrapolation 2·x₁ − x₂ has ‖·‖₁ = 3, which would raise p and with
+// it every level's amplification in the loader's guarantee.
 #pragma once
 
 #include <cstdint>

@@ -324,27 +324,53 @@ class File {
   std::FILE* f_;
 };
 
+/// Read exactly `length` bytes at `offset`, retrying partial reads.
+void pread_exact(int fd, std::uint8_t* out, std::size_t length,
+                 std::size_t offset) {
+  while (length > 0) {
+    const ::ssize_t n = ::pread(fd, out, length, static_cast<::off_t>(offset));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) throw std::runtime_error("archive: short segment read");
+    const auto got = static_cast<std::size_t>(n);
+    out += got;
+    length -= got;
+    offset += got;
+  }
+}
+
 }  // namespace
 
-FileSource::FileSource(std::string path) : path_(std::move(path)) {
-  File f(path_, "rb");
-  file_size_ = f.size(path_);
-  // The index (magic/version/header/table) precedes all payloads.  Read a
-  // prefix, then the index bytes it still lacks until extent() finds its end.
-  Bytes head;
-  for (std::size_t want = std::min(file_size_, kIndexProbeBytes);;) {
-    const std::size_t have = head.size();
-    head.resize(want);
-    if (std::fread(head.data() + have, 1, want - have, f.get()) !=
-        want - have) {
-      throw std::runtime_error("archive: short read of index prefix");
+FileSource::FileSource(const std::string& path)
+    : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+  if (fd_ < 0) throw std::runtime_error("cannot open file: " + path);
+  try {
+    // A directory opens fine but has no archive bytes, so anything other
+    // than a regular file is rejected.
+    struct stat st {};
+    if (::fstat(fd_, &st) != 0 || !S_ISREG(st.st_mode)) {
+      throw std::runtime_error("not a regular file: " + path);
     }
-    want = ArchiveIndex::extent({head.data(), head.size()});
-    if (want <= head.size()) break;
-    if (want > file_size_) throw std::runtime_error("archive: truncated");
+    file_size_ = static_cast<std::size_t>(st.st_size);
+    // The index (magic/version/header/table) precedes all payloads.  Read a
+    // prefix, then the index bytes it still lacks until extent() finds its
+    // end.
+    Bytes head;
+    for (std::size_t want = std::min(file_size_, kIndexProbeBytes);;) {
+      const std::size_t have = head.size();
+      head.resize(want);
+      pread_exact(fd_, head.data() + have, want - have, have);
+      want = ArchiveIndex::extent({head.data(), head.size()});
+      if (want <= head.size()) break;
+      if (want > file_size_) throw std::runtime_error("archive: truncated");
+    }
+    index_ = ArchiveIndex::parse({head.data(), head.size()}, file_size_);
+  } catch (...) {
+    ::close(fd_);
+    throw;
   }
-  index_ = ArchiveIndex::parse({head.data(), head.size()}, file_size_);
 }
+
+FileSource::~FileSource() { ::close(fd_); }
 
 const Bytes& FileSource::header() {
   if (!header_loaded_) {
@@ -393,7 +419,6 @@ std::vector<Bytes> FileSource::read_many(std::span<const SegmentId> ids) {
   std::sort(items.begin(), items.end(),
             [](const Item& a, const Item& b) { return a.offset < b.offset; });
 
-  File f(path_, "rb");
   Bytes buf;
   for (std::size_t i = 0; i < items.size();) {
     // Coalesce the run of segments whose ranges start within
@@ -407,11 +432,7 @@ std::vector<Bytes> FileSource::read_many(std::span<const SegmentId> ids) {
       ++j;
     }
     buf.resize(end - begin);
-    std::fseek(f.get(), static_cast<long>(begin), SEEK_SET);
-    if (!buf.empty() &&
-        std::fread(buf.data(), 1, buf.size(), f.get()) != buf.size()) {
-      throw std::runtime_error("archive: short segment read");
-    }
+    pread_exact(fd_, buf.data(), buf.size(), begin);
     count_read_call();
     count_coalesced_range();
     for (; i < j; ++i) {
@@ -443,12 +464,8 @@ std::size_t FileSource::segment_size(SegmentId id) const {
 }
 
 Bytes FileSource::read_range(std::size_t offset, std::size_t length) const {
-  File f(path_, "rb");
-  std::fseek(f.get(), static_cast<long>(offset), SEEK_SET);
   Bytes out(length);
-  if (length > 0 && std::fread(out.data(), 1, length, f.get()) != length) {
-    throw std::runtime_error("archive: short segment read");
-  }
+  pread_exact(fd_, out.data(), length, offset);
   return out;
 }
 

@@ -347,21 +347,30 @@ class MemorySource final : public SegmentSource {
   bool header_charged_ = false;
 };
 
-/// SegmentSource over a file on disk; performs real seek+read per segment.
-/// read_many() sorts the batch by file offset and coalesces ranges within
-/// kCoalesceGapBytes of each other into single bulk reads, slicing each
-/// payload out of the shared buffer — one open + one read per contiguous run
+/// SegmentSource over a file on disk; performs a real positioned read per
+/// segment.  read_many() sorts the batch by file offset and coalesces ranges
+/// within kCoalesceGapBytes of each other into single bulk reads, slicing
+/// each payload out of the shared buffer — one read per contiguous run
 /// instead of one per segment.
 ///
-/// Thread contract: inherits SegmentSource's.  Every fetch opens its own
-/// file handle and touches only the immutable index plus the atomic
-/// counters, so read_segment/read_many may overlap from any number of
-/// threads over one instance — the serve layer's PooledSource relies on this
-/// to dispatch merged batches from several workers at once.  header() still
-/// mutates the header cache and must be serialized (fetched once, at open).
+/// The file is opened once, by the constructor, and every read goes through
+/// that descriptor.  A file replaced at the same path (write_file renames a
+/// new archive over it) therefore keeps being read as the archive whose
+/// index was parsed, never as the newcomer's bytes under the old offsets.
+///
+/// Thread contract: inherits SegmentSource's.  Fetches use pread, which
+/// leaves the shared file offset alone, and touch only the immutable index
+/// plus the atomic counters, so read_segment/read_many may overlap from any
+/// number of threads over one instance — the serve layer's PooledSource
+/// relies on this to dispatch merged batches from several workers at once.
+/// header() still mutates the header cache and must be serialized (fetched
+/// once, at open).
 class FileSource final : public SegmentSource {
  public:
-  explicit FileSource(std::string path);
+  explicit FileSource(const std::string& path);
+  ~FileSource() override;
+  FileSource(const FileSource&) = delete;
+  FileSource& operator=(const FileSource&) = delete;
 
   const Bytes& header() override;
   Bytes read_segment(SegmentId id) override;
@@ -378,7 +387,7 @@ class FileSource final : public SegmentSource {
  private:
   Bytes read_range(std::size_t offset, std::size_t length) const;
 
-  std::string path_;
+  int fd_ = -1;
   std::size_t file_size_ = 0;
   ArchiveIndex index_;
   Bytes header_cache_;

@@ -25,8 +25,10 @@
 //   // plan.segments / plan.bytes_new / plan.guaranteed_error ...
 //   auto stats = reader.execute(plan);
 //
-// (The legacy request_* wrappers are deprecated spellings of retrieve() and
-// will be removed; see README "Serving" for the migration table.)
+// There is nothing to configure on the read side: every plan is the DP
+// knapsack under the per-dimension amplification bound, so guaranteed_error
+// always bounds the actual L∞ error.  compress() likewise always routes
+// segments through the entropy probe (README "Codec orchestration").
 //
 // Serving many clients from one archive (serve/): an ArchiveSet opens each
 // archive once; per-client Sessions share its segment cache and pooled I/O,
@@ -35,7 +37,7 @@
 //
 //   ipcomp::ArchiveSet set;
 //   auto handle = set.open_file("field.ipc");
-//   ipcomp::Session<double> session(handle, {}, /*byte_quota=*/1 << 20);
+//   ipcomp::Session<double> session(handle, /*byte_quota=*/1 << 20);
 //   auto st = session.retrieve(ipcomp::Request::error_bound(1e-3));
 //
 // Thread safety (taxonomy in util/sync.hpp; per-class contracts on the

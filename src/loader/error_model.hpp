@@ -1,22 +1,20 @@
-// Error propagation models for partial-bitplane retrieval (paper Theorem 1).
+// Error propagation for partial-bitplane retrieval (paper Theorem 1).
 //
 // A level's truncation loss is amplified as predictions chain toward finer
-// levels.  Two models are offered:
+// levels.  The paper's Theorem 1 charges level l with p^(l-1), p = ‖P‖∞
+// (1 for linear, 1.25 for cubic), treating each level as one application of
+// P.  The interpolation sweep is dimension by dimension, though: within a
+// level, pass t's predictions consume pass t-1's outputs, so a level applies
+// P up to `rank` times, and on 3-D sweeps the Theorem 1 figure can be
+// exceeded by the actual error.  The bound used here follows the sweep: with
+// the recurrence M_t = p·M_{t-1} + δ, the per-level map is
+// D_l = p^r·D_{l+1} + g·δ_l, g = (p^r − 1)/(p − 1) (or r when p = 1), giving
 //
-//  * kPaper — the paper's Theorem 1: loss of level l is amplified by p^(l-1)
-//    where p = ‖P‖∞ (1 for linear, 1.25 for cubic).  This treats each level
-//    as a single application of P.
+//   amp(l) = g · (p^r)^(l-1).
 //
-//  * kConservative (default) — accounts for the dimension-by-dimension sweep:
-//    within a level, pass t's predictions consume pass t-1's outputs, so a
-//    level applies P up to `rank` times.  With the recurrence
-//    M_t = p·M_{t-1} + δ, the per-level map is D_l = p^r·D_{l+1} + g·δ_l,
-//    g = (p^r − 1)/(p − 1) (or r when p = 1), giving amplification
-//    amp(l) = g · (p^r)^(l-1).  This bound is proven by the recurrence and is
-//    what the guarantee tests assert against (DESIGN.md §2, error-model note).
-//
-// Both models yield identical guarantees for requests that load everything
-// (δ = 0).  kConservative loads slightly more planes for the same target.
+// The recurrence proves it, so guaranteed_error ≥ actual L∞ error holds for
+// every plan; the guarantee tests assert exactly that.  A request that loads
+// everything has δ = 0 and no amplified loss at all.
 #pragma once
 
 #include <cmath>
@@ -25,19 +23,10 @@
 
 namespace ipcomp {
 
-enum class ErrorModel {
-  kPaper,
-  kConservative,
-};
-
 /// Amplification applied to the truncation loss of level `l` (1-based,
 /// 1 = finest) for a `rank`-dimensional sweep.
-inline double level_amplification(ErrorModel model, InterpKind kind,
-                                  unsigned rank, unsigned l) {
+inline double level_amplification(InterpKind kind, unsigned rank, unsigned l) {
   const double p = interp_p_norm(kind);
-  if (model == ErrorModel::kPaper) {
-    return std::pow(p, static_cast<double>(l - 1));
-  }
   const double pr = std::pow(p, static_cast<double>(rank));
   const double g = (p == 1.0) ? static_cast<double>(rank) : (pr - 1.0) / (p - 1.0);
   return g * std::pow(pr, static_cast<double>(l - 1));

@@ -9,8 +9,6 @@ namespace ipcomp {
 
 namespace {
 
-constexpr std::size_t kBins = 1021;  // DP budget grid resolution
-
 struct Choice {
   unsigned max_drop;                      // n_planes - already_loaded
   unsigned n_planes;
@@ -54,10 +52,12 @@ LoadPlan finalize(const std::vector<LevelPlanInput>& levels,
   return plan;
 }
 
+}  // namespace
+
 // ---------------------------------------------------------------- DP: EB ---
 
-LoadPlan dp_error_bound(const std::vector<LevelPlanInput>& levels,
-                        double error_budget) {
+LoadPlan plan_error_bound(const std::vector<LevelPlanInput>& levels,
+                          double error_budget) {
   auto ch = prepare(levels);
   const std::size_t n = levels.size();
   std::vector<unsigned> drop(n, 0);
@@ -71,27 +71,27 @@ LoadPlan dp_error_bound(const std::vector<LevelPlanInput>& levels,
     return finalize(levels, ch, drop);
   }
 
-  const double binw = error_budget / static_cast<double>(kBins);
+  const double binw = error_budget / static_cast<double>(kPlannerBins);
   auto cost_of = [&](double err) -> std::size_t {
     if (err <= 0.0) return 0;
     // Round the error cost UP so the discretized constraint implies the real
     // one: sum(cost)*binw >= sum(err) never understates.
     double bins = std::ceil(err / binw);
-    if (bins > static_cast<double>(kBins)) return kBins + 1;  // infeasible
+    if (bins > static_cast<double>(kPlannerBins)) return kPlannerBins + 1;  // infeasible
     return static_cast<std::size_t>(bins);
   };
 
   constexpr std::int64_t kNegInf = std::numeric_limits<std::int64_t>::min() / 2;
   // tables[i][e] = max bytes saved by levels [0, i) with error cost <= e bins.
   std::vector<std::vector<std::int64_t>> tables(
-      n + 1, std::vector<std::int64_t>(kBins + 1, kNegInf));
+      n + 1, std::vector<std::int64_t>(kPlannerBins + 1, kNegInf));
   tables[0][0] = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t e0 = 0; e0 <= kBins; ++e0) {
+    for (std::size_t e0 = 0; e0 <= kPlannerBins; ++e0) {
       if (tables[i][e0] == kNegInf) continue;
       for (unsigned d = 0; d <= ch[i].max_drop; ++d) {
         std::size_t cost = cost_of(levels[i].err[d]);
-        if (cost > kBins || e0 + cost > kBins) continue;
+        if (cost > kPlannerBins || e0 + cost > kPlannerBins) continue;
         std::int64_t v = tables[i][e0] + static_cast<std::int64_t>(ch[i].cum_size[d]);
         if (v > tables[i + 1][e0 + cost]) tables[i + 1][e0 + cost] = v;
       }
@@ -100,7 +100,7 @@ LoadPlan dp_error_bound(const std::vector<LevelPlanInput>& levels,
 
   std::size_t best_e = 0;
   std::int64_t best = kNegInf;
-  for (std::size_t e = 0; e <= kBins; ++e) {
+  for (std::size_t e = 0; e <= kPlannerBins; ++e) {
     if (tables[n][e] > best) {
       best = tables[n][e];
       best_e = e;
@@ -112,7 +112,7 @@ LoadPlan dp_error_bound(const std::vector<LevelPlanInput>& levels,
     bool found = false;
     for (unsigned d = 0; d <= ch[i].max_drop && !found; ++d) {
       std::size_t cost = cost_of(levels[i].err[d]);
-      if (cost > kBins || cost > e) continue;
+      if (cost > kPlannerBins || cost > e) continue;
       if (tables[i][e - cost] != kNegInf &&
           tables[i][e - cost] + static_cast<std::int64_t>(ch[i].cum_size[d]) ==
               tables[i + 1][e]) {
@@ -128,18 +128,18 @@ LoadPlan dp_error_bound(const std::vector<LevelPlanInput>& levels,
 
 // ---------------------------------------------------------------- DP: BR ---
 
-LoadPlan dp_byte_budget(const std::vector<LevelPlanInput>& levels,
-                        std::uint64_t byte_budget) {
+LoadPlan plan_byte_budget(const std::vector<LevelPlanInput>& levels,
+                          std::uint64_t byte_budget) {
   auto ch = prepare(levels);
   const std::size_t n = levels.size();
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
   const double binw = std::max(1.0, static_cast<double>(byte_budget) /
-                                        static_cast<double>(kBins));
+                                        static_cast<double>(kPlannerBins));
   // Capacity in bins such that capacity*binw <= byte_budget is implied by
   // the per-item ceil-rounding (rounding up can only tighten the budget).
   const std::size_t capacity = static_cast<std::size_t>(
-      std::min(static_cast<double>(kBins),
+      std::min(static_cast<double>(kPlannerBins),
                std::floor(static_cast<double>(byte_budget) / binw)));
   auto cost_of = [&](std::uint64_t bytes) -> std::size_t {
     if (bytes == 0) return 0;
@@ -196,140 +196,6 @@ LoadPlan dp_byte_budget(const std::vector<LevelPlanInput>& levels,
     if (!found) throw std::logic_error("planner: backtrack failed");
   }
   return finalize(levels, ch, drop);
-}
-
-// -------------------------------------------------------------- greedy -----
-
-LoadPlan greedy_error_bound(const std::vector<LevelPlanInput>& levels,
-                            double error_budget) {
-  auto ch = prepare(levels);
-  const std::size_t n = levels.size();
-  // Start from "load everything", then greedily drop the plane with the best
-  // bytes-saved per added-error ratio while the budget holds.
-  std::vector<unsigned> drop(n, 0);
-  double err_now = 0.0;
-  for (std::size_t i = 0; i < n; ++i) err_now += levels[i].err[0];
-  while (true) {
-    double best_ratio = -1.0;
-    std::size_t best_i = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (drop[i] >= ch[i].max_drop) continue;
-      double new_err = err_now - levels[i].err[drop[i]] + levels[i].err[drop[i] + 1];
-      if (new_err > error_budget) continue;
-      double added = levels[i].err[drop[i] + 1] - levels[i].err[drop[i]];
-      double saved = static_cast<double>(levels[i].plane_size[drop[i]]);
-      double ratio = added <= 0.0 ? std::numeric_limits<double>::infinity()
-                                  : saved / added;
-      if (ratio > best_ratio) {
-        best_ratio = ratio;
-        best_i = i;
-      }
-    }
-    if (best_i == n) break;
-    err_now += levels[best_i].err[drop[best_i] + 1] - levels[best_i].err[drop[best_i]];
-    ++drop[best_i];
-  }
-  return finalize(levels, ch, drop);
-}
-
-LoadPlan greedy_byte_budget(const std::vector<LevelPlanInput>& levels,
-                            std::uint64_t byte_budget) {
-  auto ch = prepare(levels);
-  const std::size_t n = levels.size();
-  // Start from "load nothing new", then greedily add the plane with the best
-  // error-reduction per byte while the budget holds.
-  std::vector<unsigned> drop(n);
-  for (std::size_t i = 0; i < n; ++i) drop[i] = ch[i].max_drop;
-  std::uint64_t used = 0;
-  while (true) {
-    double best_ratio = -1.0;
-    std::size_t best_i = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (drop[i] == 0) continue;
-      std::uint64_t add = levels[i].plane_size[drop[i] - 1];
-      if (used + add > byte_budget) continue;
-      double gain = levels[i].err[drop[i]] - levels[i].err[drop[i] - 1];
-      double ratio = gain / static_cast<double>(std::max<std::uint64_t>(1, add));
-      if (ratio > best_ratio) {
-        best_ratio = ratio;
-        best_i = i;
-      }
-    }
-    if (best_i == n) break;
-    used += levels[best_i].plane_size[drop[best_i] - 1];
-    --drop[best_i];
-  }
-  return finalize(levels, ch, drop);
-}
-
-// -------------------------------------------------------------- uniform ----
-
-LoadPlan uniform_error_bound(const std::vector<LevelPlanInput>& levels,
-                             double error_budget) {
-  auto ch = prepare(levels);
-  const std::size_t n = levels.size();
-  unsigned max_d = 0;
-  for (auto& c : ch) max_d = std::max(max_d, c.max_drop);
-  std::vector<unsigned> best(n, 0);
-  for (unsigned d = max_d; d-- > 0;) {
-    // try uniform drop of (d+1)
-    double err = 0.0;
-    std::vector<unsigned> drop(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      drop[i] = std::min(d + 1, ch[i].max_drop);
-      err += levels[i].err[drop[i]];
-    }
-    if (err <= error_budget) return finalize(levels, ch, drop);
-  }
-  return finalize(levels, ch, best);
-}
-
-LoadPlan uniform_byte_budget(const std::vector<LevelPlanInput>& levels,
-                             std::uint64_t byte_budget) {
-  auto ch = prepare(levels);
-  const std::size_t n = levels.size();
-  unsigned max_d = 0;
-  for (auto& c : ch) max_d = std::max(max_d, c.max_drop);
-  for (unsigned d = 0; d <= max_d; ++d) {
-    std::uint64_t load = 0;
-    std::vector<unsigned> drop(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      drop[i] = std::min(d, ch[i].max_drop);
-      load += ch[i].loadable - ch[i].cum_size[drop[i]];
-    }
-    if (load <= byte_budget) return finalize(levels, ch, drop);
-  }
-  std::vector<unsigned> drop(n);
-  for (std::size_t i = 0; i < n; ++i) drop[i] = ch[i].max_drop;
-  return finalize(levels, ch, drop);
-}
-
-}  // namespace
-
-LoadPlan plan_error_bound(const std::vector<LevelPlanInput>& levels,
-                          double error_budget, PlannerKind kind) {
-  switch (kind) {
-    case PlannerKind::kDynamicProgramming:
-      return dp_error_bound(levels, error_budget);
-    case PlannerKind::kGreedy:
-      return greedy_error_bound(levels, error_budget);
-    case PlannerKind::kUniform:
-      return uniform_error_bound(levels, error_budget);
-  }
-  throw std::invalid_argument("planner: unknown kind");
-}
-
-LoadPlan plan_byte_budget(const std::vector<LevelPlanInput>& levels,
-                          std::uint64_t byte_budget, PlannerKind kind) {
-  switch (kind) {
-    case PlannerKind::kDynamicProgramming:
-      return dp_byte_budget(levels, byte_budget);
-    case PlannerKind::kGreedy:
-      return greedy_byte_budget(levels, byte_budget);
-    case PlannerKind::kUniform:
-      return uniform_byte_budget(levels, byte_budget);
-  }
-  throw std::invalid_argument("planner: unknown kind");
 }
 
 }  // namespace ipcomp

@@ -5,17 +5,21 @@
 //   * bitrate mode — the bytes loaded stay ≤ S while the guaranteed error is
 //     minimized.
 // Both are multiple-choice knapsacks solved by dynamic programming over a
-// discretized budget axis; discretization always rounds *against* the user's
-// budget so the constraint can never be violated (DESIGN.md §6.7).
-//
-// Greedy and uniform planners exist for the ablation study (bench_ablation_
-// optimizer); DP dominates both.
+// budget axis cut into kPlannerBins bins.  Each level's cost is rounded *up*
+// to whole bins, so the discretized constraint implies the real one and a
+// plan never exceeds the caller's budget; the price is that the optimum is
+// found only to within one bin per level.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace ipcomp {
+
+/// Resolution of the DP budget grid: the error budget (error-bound mode) or
+/// the byte budget (bitrate mode) is split into this many bins.
+inline constexpr std::size_t kPlannerBins = 1021;
 
 /// Planner view of one progressive level.
 struct LevelPlanInput {
@@ -39,21 +43,13 @@ struct LoadPlan {
   std::uint64_t new_bytes = 0;
 };
 
-enum class PlannerKind {
-  kDynamicProgramming,
-  kGreedy,
-  kUniform,
-};
-
 /// Error-bound mode: minimize newly loaded bytes subject to
 /// Σ err ≤ error_budget (the caller passes E − eb).
 LoadPlan plan_error_bound(const std::vector<LevelPlanInput>& levels,
-                          double error_budget,
-                          PlannerKind kind = PlannerKind::kDynamicProgramming);
+                          double error_budget);
 
 /// Bitrate mode: minimize Σ err subject to new bytes ≤ byte_budget.
 LoadPlan plan_byte_budget(const std::vector<LevelPlanInput>& levels,
-                          std::uint64_t byte_budget,
-                          PlannerKind kind = PlannerKind::kDynamicProgramming);
+                          std::uint64_t byte_budget);
 
 }  // namespace ipcomp

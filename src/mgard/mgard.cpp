@@ -157,7 +157,7 @@ Bytes PmgardCompressor::compress(NdConstView<double> data, double eb_abs) {
     std::vector<std::pair<SegmentId, Bytes>> segments;
     append_plane_segments(std::move(enc.planes),
                           static_cast<std::uint16_t>(li + 1), /*block=*/0,
-                          codec_, segments);
+                          segments);
     for (auto& [id, payload] : segments) {
       builder.add_segment(id, std::move(payload));
     }

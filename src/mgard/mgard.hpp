@@ -9,8 +9,7 @@
 // (and hence progressive retrieval) possible.  We omit reference MGARD's
 // global L2-projection correction term: PMGARD's progressive machinery rests
 // on the hierarchy itself, and the correction mainly improves smooth-norm
-// (s < ∞) guarantees that the paper's evaluation does not exercise
-// (DESIGN.md §2).
+// (s < ∞) guarantees, while the paper's evaluation measures only L∞.
 //
 // PMGARD stores each level's coefficients as negabinary bitplanes of a
 // 31-bit fixed-point representation (effectively lossless: ≤ 2^-30 relative
@@ -20,7 +19,6 @@
 #pragma once
 
 #include "baselines/baseline.hpp"
-#include "coding/codec.hpp"
 #include "util/dims.hpp"
 
 namespace ipcomp {
@@ -35,12 +33,6 @@ std::vector<double> mgard_recompose(const Dims& dims,
 
 class PmgardCompressor final : public ProgressiveCompressor {
  public:
-  /// PMGARD shares the orchestrated plane codec stage; `codec` picks the
-  /// policy exactly as Options::codec does for the IPComp backends (the
-  /// pre-policy code ignored the caller's choice and always used defaults).
-  explicit PmgardCompressor(CodecPolicy codec = CodecPolicy::kProbe)
-      : codec_(codec) {}
-
   std::string name() const override { return "PMGARD"; }
 
   /// PMGARD archives are precision-complete by design (the paper evaluates it
@@ -55,8 +47,6 @@ class PmgardCompressor final : public ProgressiveCompressor {
   struct Plan;
   Retrieval retrieve(const Bytes& archive, double error_target,
                      std::uint64_t byte_budget, bool byte_mode) const;
-
-  CodecPolicy codec_;
 };
 
 }  // namespace ipcomp

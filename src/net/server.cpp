@@ -46,7 +46,7 @@ template <typename T>
 class SessionOf final : public SessionAny {
  public:
   SessionOf(std::shared_ptr<ArchiveHandle> handle, std::uint64_t quota)
-      : session_(std::move(handle), ReaderConfig{}, quota) {}
+      : session_(std::move(handle), quota) {}
   RetrievalPlan plan(const Request& req) const override {
     return session_.plan(req);
   }

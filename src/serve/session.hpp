@@ -50,9 +50,9 @@ class Session {
   /// `byte_quota` of 0 means unlimited.  The quota meters everything the
   /// session retrieves, including the archive open cost attributed to its
   /// first request.
-  explicit Session(std::shared_ptr<ArchiveHandle> handle, ReaderConfig cfg = {},
+  explicit Session(std::shared_ptr<ArchiveHandle> handle,
                    std::uint64_t byte_quota = 0)
-      : src_(std::move(handle)), reader_(src_, cfg), quota_(byte_quota) {}
+      : src_(std::move(handle)), reader_(src_), quota_(byte_quota) {}
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 

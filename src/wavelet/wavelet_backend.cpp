@@ -310,7 +310,7 @@ BlockCompressResult compress_impl(const T* original, const Dims& bd,
       lh.loss.assign(1, 0);
       out.segments.emplace_back(
           SegmentId{kSegBase, level_tag, 0, block},
-          serialize_base_segment(scratch, false, opt.codec));
+          serialize_base_segment(scratch, false));
       continue;
     }
 
@@ -325,8 +325,8 @@ BlockCompressResult compress_impl(const T* original, const Dims& bd,
 
     out.segments.emplace_back(
         SegmentId{kSegBase, level_tag, 0, block},
-        serialize_base_segment(scratch, true, opt.codec));
-    append_plane_segments(std::move(enc.planes), level_tag, block, opt.codec,
+        serialize_base_segment(scratch, true));
+    append_plane_segments(std::move(enc.planes), level_tag, block,
                           out.segments);
   }
   return out;
@@ -374,7 +374,7 @@ void WaveletBackend::validate_metadata(const Header& h) const {
   parse_step_scale(h.backend_meta);
 }
 
-double WaveletBackend::amplification(const Header&, ErrorModel, unsigned) const {
+double WaveletBackend::amplification(const Header&, unsigned) const {
   // Loss tables are measured in the value domain at compression time (exact
   // inverse transforms of the dropped bits), so no further amplification.
   return 1.0;

@@ -33,8 +33,7 @@ class WaveletBackend final : public ProgressiveBackend {
   bool has_aux_segment() const override { return true; }
   Bytes metadata(const Header& h) const override;
   void validate_metadata(const Header& h) const override;
-  double amplification(const Header& h, ErrorModel model,
-                       unsigned l) const override;
+  double amplification(const Header& h, unsigned l) const override;
 
   BlockCompressResult compress_block(
       const float* original, float* work, const Dims& block_dims,

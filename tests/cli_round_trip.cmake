@@ -1,7 +1,8 @@
 # End-to-end check of the ipc CLI on the default (one-block) layout:
 # compress a 16^3 f64 field without --block-side, check that `info` reports
 # a v2 archive of one block, retrieve at an absolute bound of 1e-4, and check
-# with `stats` that the reconstruction meets it.
+# with `stats` that the reconstruction meets it.  Also checks that the
+# removed `--codec` flag is rejected with the usage hint.
 #
 #   cmake -DCLI=<ipc_cli> -DPYTHON=<python3> -DWORK_DIR=<dir> \
 #         -P cli_round_trip.cmake
@@ -34,6 +35,18 @@ if(NOT rc EQUAL 0)
 endif()
 
 run_cli(out compress ${field} ${archive} --dims 16x16x16 --type f64 --eb 1e-6)
+# Segments are always probe-routed; a codec choice is an unknown flag.
+execute_process(
+  COMMAND ${CLI} compress ${field} ${WORK_DIR}/tryall.ipc --dims 16x16x16
+          --type f64 --codec tryall
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "ipc compress --codec tryall exited 0")
+endif()
+if(NOT err MATCHES "unknown flag --codec" OR NOT err MATCHES "usage:")
+  message(FATAL_ERROR "ipc compress --codec gave no usage hint:\n${out}${err}")
+endif()
+
 run_cli(info info ${archive})
 message(STATUS "ipc info:\n${info}")
 if(NOT info MATCHES "format      : v2\n")

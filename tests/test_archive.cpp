@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <fcntl.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <cstring>
+#include <thread>
+
+#include "core/compressor.hpp"
+#include "core/progressive_reader.hpp"
 #include "io/archive.hpp"
 #include "io/mmap_source.hpp"
+#include "test_util.hpp"
 #include "util/rng.hpp"
 
 namespace ipcomp {
@@ -268,6 +276,183 @@ TEST(Archive, WriteFileKeepsMappedReadersIntact) {
               Bytes(64 << 10, static_cast<std::uint8_t>(10 + i)));
   }
   EXPECT_EQ(read_file(path), smaller);
+  std::remove(path.c_str());
+}
+
+// A FileSource reads through the descriptor it parsed its index from.  When
+// write_file replaces the path with another archive mid-retrieval, the
+// reader keeps fetching its own archive's payloads at its own index's
+// offsets, with or without per-segment checksums to notice a mix-up.
+TEST(Archive, FileSourceKeepsReadingReplacedArchive) {
+  for (const bool integrity : {true, false}) {
+    Options opt;
+    opt.block_side = 16;
+    opt.progressive_threshold = 256;
+    opt.integrity = integrity;
+    const Bytes original = compress(
+        testutil::smooth_field(Dims{32, 32, 32}, 5, 0.1).const_view(), opt);
+    const Bytes other = compress(
+        testutil::smooth_field(Dims{48, 40, 40}, 6, 0.3).const_view(), opt);
+    const std::string path =
+        ::testing::TempDir() + "/ipcomp_replace_file_source.ipc";
+    write_file(path, original);
+    FileSource file(path);
+    ProgressiveReader<double> reader(file);
+    reader.retrieve(Request::error_bound(1e3 * reader.compression_eb()));
+    write_file(path, other);
+    const RetrievalStats st = reader.retrieve(Request::full());
+    EXPECT_GT(st.bytes_new, 0u) << "integrity " << integrity;
+
+    MemorySource memory{Bytes(original)};
+    ProgressiveReader<double> want(memory);
+    want.retrieve(Request::full());
+    ASSERT_EQ(reader.data().size(), want.data().size());
+    EXPECT_EQ(std::memcmp(reader.data().data(), want.data().data(),
+                          want.data().size() * sizeof(double)),
+              0)
+        << "integrity " << integrity;
+    std::remove(path.c_str());
+  }
+}
+
+/// An archive of `n` random payloads (up to 3000 bytes) under one header.
+struct RandomArchive {
+  Bytes blob;
+  std::vector<std::pair<SegmentId, Bytes>> segs;
+};
+
+RandomArchive random_archive(Rng& rng, std::uint32_t n) {
+  ArchiveBuilder b;
+  b.set_header(make_payload(64, 7));
+  RandomArchive out;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const SegmentId id{1, static_cast<std::uint16_t>(i / 8 + 1), i % 8};
+    Bytes payload(1 + rng.uniform_u64(3000));
+    for (auto& x : payload) x = static_cast<std::uint8_t>(rng.next_u64());
+    b.add_segment(id, payload);
+    out.segs.emplace_back(id, std::move(payload));
+  }
+  out.blob = b.finish();
+  return out;
+}
+
+TEST(Archive, FileSourceMissingFileThrows) {
+  const std::string path = ::testing::TempDir() + "/ipcomp_no_such_archive.ipc";
+  std::remove(path.c_str());
+  EXPECT_THROW(FileSource{path}, std::runtime_error);
+}
+
+// Unlinking the path leaves the open descriptor's inode alive: every
+// payload still reads back.
+TEST(Archive, FileSourceKeepsReadingUnlinkedArchive) {
+  Rng rng(31);
+  const RandomArchive a = random_archive(rng, 24);
+  const std::string path = ::testing::TempDir() + "/ipcomp_unlinked.bin";
+  write_file(path, a.blob);
+  FileSource fsrc(path);
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  EXPECT_EQ(fsrc.header(), make_payload(64, 7));
+  for (const auto& [id, payload] : a.segs) EXPECT_EQ(fsrc.read_segment(id), payload);
+  std::vector<SegmentId> ids;
+  for (const auto& s : a.segs) ids.push_back(s.first);
+  const auto batch = fsrc.read_many(ids);
+  for (std::size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(batch[i], a.segs[i].second);
+}
+
+// A file truncated in place under an open source (not replaced) loses its
+// tail: a read that reaches past the new end throws rather than returning
+// short or stale bytes, and segments wholly before the cut still read.
+TEST(Archive, FileSourceTruncatedInPlaceThrows) {
+  Rng rng(32);
+  const RandomArchive a = random_archive(rng, 24);
+  const std::string path = ::testing::TempDir() + "/ipcomp_truncated_in_place.bin";
+  write_file(path, a.blob);
+  FileSource fsrc(path);
+  (void)fsrc.header();
+  ASSERT_EQ(::truncate(path.c_str(), static_cast<::off_t>(a.blob.size() / 2)), 0);
+
+  std::size_t intact = 0, refused = 0;
+  std::vector<SegmentId> ids;
+  for (const auto& [id, payload] : a.segs) {
+    ids.push_back(id);
+    try {
+      EXPECT_EQ(fsrc.read_segment(id), payload);
+      ++intact;
+    } catch (const std::runtime_error&) {
+      ++refused;
+    }
+  }
+  EXPECT_GT(intact, 0u);
+  EXPECT_GT(refused, 0u);
+  EXPECT_THROW(fsrc.read_many(ids), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+/// The lowest descriptor number open() hands out next.
+int lowest_free_fd() {
+  const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ::close(fd);
+  return fd;
+}
+
+// The source holds one descriptor for its lifetime and gives it back, also
+// when the constructor throws on a file that is not an archive.  A leaked
+// descriptor would take the lowest free number.
+TEST(Archive, FileSourceReleasesItsDescriptor) {
+  Rng rng(33);
+  const std::string path = ::testing::TempDir() + "/ipcomp_fd_archive.bin";
+  const std::string junk = ::testing::TempDir() + "/ipcomp_fd_junk.bin";
+  write_file(path, random_archive(rng, 8).blob);
+  write_file(junk, make_payload(100, 0x5a));
+  const int before = lowest_free_fd();
+  ASSERT_GE(before, 0);
+  for (int i = 0; i < 8; ++i) {
+    FileSource fsrc(path);
+    EXPECT_FALSE(fsrc.read_segment({1, 1, 0}).empty());
+    EXPECT_THROW(FileSource{junk}, std::runtime_error);
+    EXPECT_THROW(FileSource{::testing::TempDir()}, std::runtime_error);
+  }
+  EXPECT_EQ(lowest_free_fd(), before);
+  std::remove(path.c_str());
+  std::remove(junk.c_str());
+}
+
+// Fetches overlap from several threads on one source (pread leaves the file
+// offset alone): every payload matches, and once all fetches are done the
+// byte count is exactly the payload bytes requested.
+TEST(Archive, FileSourceConcurrentReadsMatchMemorySource) {
+  Rng rng(34);
+  const RandomArchive a = random_archive(rng, 40);
+  const std::string path = ::testing::TempDir() + "/ipcomp_concurrent_reads.bin";
+  write_file(path, a.blob);
+  FileSource fsrc(path);
+  (void)fsrc.header();
+  const std::size_t header_bytes = fsrc.stats().bytes_read;
+
+  constexpr int kThreads = 4, kRounds = 25;
+  std::vector<std::size_t> charged(kThreads, 0);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        std::vector<SegmentId> ids;
+        std::vector<const Bytes*> want;
+        for (std::size_t i = (t + r) % 3; i < a.segs.size(); i += 1 + (t + r) % 4) {
+          ids.push_back(a.segs[i].first);
+          want.push_back(&a.segs[i].second);
+        }
+        const auto got = fsrc.read_many(ids);
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          EXPECT_EQ(got[i], *want[i]) << "thread " << t << " round " << r;
+          charged[t] += want[i]->size();
+        }
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  std::size_t total = header_bytes;
+  for (std::size_t c : charged) total += c;
+  EXPECT_EQ(fsrc.stats().bytes_read, total);
   std::remove(path.c_str());
 }
 

@@ -14,6 +14,7 @@
 #endif
 
 #include "ipcomp.hpp"
+#include "loader/error_model.hpp"
 #include "test_util.hpp"
 
 namespace ipcomp {
@@ -52,6 +53,39 @@ TEST(BackendRegistry, ArchiveFormatFollowsBackend) {
       EXPECT_EQ(reader.header().backend, backend);
       EXPECT_EQ(&reader.backend(), &backend_for(backend));
     }
+  }
+}
+
+// The planner's per-level amplification comes from the archive's backend:
+// the interp sweep charges level_amplification for the archive's kernel and
+// rank, the wavelet backend's loss tables are already in value units.
+TEST(InterpBackend, AmplificationFollowsSweepModel) {
+  for (const Dims dims : {Dims{300}, Dims{24, 20}, Dims{12, 10, 9}}) {
+    for (InterpKind kind : {InterpKind::kLinear, InterpKind::kCubic}) {
+      Options opt;
+      opt.interp = kind;
+      opt.error_bound = 1e-5;
+      MemorySource src(compress(smooth_field(dims, 4).const_view(), opt));
+      ProgressiveReader<double> reader(src);
+      const Header& h = reader.header();
+      ASSERT_EQ(h.interp, kind);
+      for (unsigned l = 1; l <= 6; ++l) {
+        EXPECT_EQ(reader.backend().amplification(h, l),
+                  level_amplification(kind, static_cast<unsigned>(dims.rank()), l))
+            << "rank " << dims.rank() << " level " << l;
+      }
+    }
+  }
+}
+
+TEST(WaveletBackend, AmplificationIsOne) {
+  Options opt;
+  opt.backend = BackendId::kWavelet;
+  opt.error_bound = 1e-5;
+  MemorySource src(compress(smooth_field(Dims{16, 16, 16}, 4).const_view(), opt));
+  ProgressiveReader<double> reader(src);
+  for (unsigned l = 1; l <= 6; ++l) {
+    EXPECT_EQ(reader.backend().amplification(reader.header(), l), 1.0) << l;
   }
 }
 

@@ -1,26 +1,43 @@
-// Per-segment codec orchestration: per-codec round-trip properties (every
-// policy, every method, incl. the bitpack sparse-index codec on its edge
-// shapes), probe/routing expectations, and strict decode validation (forged
-// tags, truncated payloads, wrong sizes).
+// Per-segment codec orchestration: per-codec round-trip properties (the
+// routed encoder, hand-tagged RLE and LZH segments of the kind earlier
+// encoders wrote, and the bitpack sparse-index codec on its edge shapes),
+// probe/routing expectations, and strict decode validation (forged tags,
+// truncated payloads, wrong sizes).
 #include <gtest/gtest.h>
 
 #include "coding/bitpack.hpp"
 #include "coding/codec.hpp"
+#include "coding/lzh.hpp"
+#include "coding/rle.hpp"
 #include "util/rng.hpp"
 
 namespace ipcomp {
 namespace {
 
-constexpr CodecPolicy kPolicies[] = {CodecPolicy::kProbe, CodecPolicy::kTryAll,
-                                     CodecPolicy::kRle};
+/// A segment as an encoder tagged it: the method byte, then its payload.
+Bytes tagged(CodecMethod method, Bytes payload) {
+  payload.insert(payload.begin(), static_cast<std::uint8_t>(method));
+  return payload;
+}
+
+/// Archives written before probe routing hold RLE and LZH segments for
+/// inputs the router now sends elsewhere; decode must keep reading them.
+Bytes rle_segment(const Bytes& in) {
+  return tagged(CodecMethod::kRle, rle_encode({in.data(), in.size()}));
+}
+
+Bytes lzh_segment(const Bytes& in) {
+  return tagged(CodecMethod::kLzh, lzh_compress({in.data(), in.size()}));
+}
 
 void round_trip(const Bytes& input) {
-  for (CodecPolicy policy : kPolicies) {
-    Bytes enc = codec_compress({input.data(), input.size()}, policy);
-    // Expansion is bounded at the tag byte under every policy.
-    EXPECT_LE(enc.size(), input.size() + 1) << to_string(policy);
-    Bytes dec = codec_decompress({enc.data(), enc.size()}, input.size());
-    EXPECT_EQ(dec, input) << to_string(policy);
+  Bytes enc = codec_compress({input.data(), input.size()});
+  // Expansion is bounded at the tag byte.
+  EXPECT_LE(enc.size(), input.size() + 1);
+  EXPECT_EQ(codec_decompress({enc.data(), enc.size()}, input.size()), input);
+  for (const Bytes& seg : {rle_segment(input), lzh_segment(input)}) {
+    EXPECT_EQ(codec_decompress({seg.data(), seg.size()}, input.size()), input)
+        << "hand-tagged method " << int{seg[0]};
   }
 }
 
@@ -32,11 +49,9 @@ TEST(Codec, EmptyInput) { round_trip({}); }
 
 TEST(Codec, AllZeroUsesEmptyMethod) {
   Bytes in(4096, 0);
-  for (CodecPolicy policy : kPolicies) {
-    Bytes enc = codec_compress({in.data(), in.size()}, policy);
-    EXPECT_EQ(enc.size(), 1u);
-    EXPECT_EQ(method_of(enc), CodecMethod::kEmpty);
-  }
+  Bytes enc = codec_compress({in.data(), in.size()});
+  EXPECT_EQ(enc.size(), 1u);
+  EXPECT_EQ(method_of(enc), CodecMethod::kEmpty);
   round_trip(in);
 }
 
@@ -44,13 +59,11 @@ TEST(Codec, SparseStaysTiny) {
   Bytes in(8192, 0);
   in[100] = 1;
   in[5000] = 2;
-  for (CodecPolicy policy : kPolicies) {
-    Bytes enc = codec_compress({in.data(), in.size()}, policy);
-    EXPECT_LT(enc.size(), 32u) << to_string(policy);
-  }
+  Bytes enc = codec_compress({in.data(), in.size()});
+  EXPECT_LT(enc.size(), 32u);
+  EXPECT_LT(rle_segment(in).size(), 32u);
   // Two isolated set bits in 64 Kbit: the probe must route to bitpack.
-  EXPECT_EQ(method_of(codec_compress({in.data(), in.size()})),
-            CodecMethod::kBitpack);
+  EXPECT_EQ(method_of(enc), CodecMethod::kBitpack);
   round_trip(in);
 }
 
@@ -58,26 +71,23 @@ TEST(Codec, RandomFallsBackToRaw) {
   Rng rng(77);
   Bytes in(4096);
   for (auto& b : in) b = static_cast<std::uint8_t>(rng.next_u64());
-  for (CodecPolicy policy : kPolicies) {
-    Bytes enc = codec_compress({in.data(), in.size()}, policy);
-    EXPECT_LE(enc.size(), in.size() + 1) << to_string(policy);
-  }
+  Bytes enc = codec_compress({in.data(), in.size()});
+  EXPECT_LE(enc.size(), in.size() + 1);
   // Uniform random bytes are ~8 bits/byte: routed raw without an encode.
-  EXPECT_EQ(method_of(codec_compress({in.data(), in.size()})),
-            CodecMethod::kRaw);
+  EXPECT_EQ(method_of(enc), CodecMethod::kRaw);
   round_trip(in);
 }
 
 TEST(Codec, RepetitiveCompressesWell) {
   // 6/7 zero bytes: below the RLE routing cutoff, so the probe must fall
-  // through to LZH and match try-all's size; the RLE-only legacy policy pays
-  // ~2 bytes per nonzero byte here, which is its documented trade.
+  // through to LZH and stay as small as an LZH segment; RLE pays ~2 bytes
+  // per nonzero byte here.
   Bytes in;
   for (int i = 0; i < 10000; ++i) in.push_back(static_cast<std::uint8_t>(i % 7 ? 0 : 9));
-  EXPECT_LT(codec_compress({in.data(), in.size()}, CodecPolicy::kProbe).size(),
-            600u);
-  EXPECT_LT(codec_compress({in.data(), in.size()}, CodecPolicy::kTryAll).size(),
-            600u);
+  Bytes enc = codec_compress({in.data(), in.size()});
+  EXPECT_EQ(method_of(enc), CodecMethod::kLzh);
+  EXPECT_LT(enc.size(), 600u);
+  EXPECT_LT(lzh_segment(in).size(), 600u);
   round_trip(in);
 }
 
@@ -103,16 +113,18 @@ TEST(Codec, MostlyZeroRoutesToRle) {
 }
 
 TEST(Codec, WrongSizeThrows) {
-  // Two set bits, one beyond the forged 50-byte bound, so every routed
-  // method (bitpack under probe, RLE under the legacy policies) detects the
-  // size mismatch.
+  // Two set bits, one beyond the forged 50-byte bound, so every method
+  // detects the size mismatch: bitpack (where the probe routes this input)
+  // and hand-tagged RLE and LZH segments.
   Bytes in(100, 0);
   in[4] = 1;
   in[60] = 1;
-  for (CodecPolicy policy : kPolicies) {
-    Bytes enc = codec_compress({in.data(), in.size()}, policy);
-    EXPECT_THROW(codec_decompress({enc.data(), enc.size()}, 50),
-                 std::runtime_error);
+  Bytes enc = codec_compress({in.data(), in.size()});
+  ASSERT_EQ(method_of(enc), CodecMethod::kBitpack);
+  for (const Bytes& seg : {enc, rle_segment(in), lzh_segment(in)}) {
+    EXPECT_THROW(codec_decompress({seg.data(), seg.size()}, 50),
+                 std::runtime_error)
+        << "method " << int{seg[0]};
   }
 }
 
@@ -143,6 +155,52 @@ TEST(Codec, ProbeCountsExactly) {
   EXPECT_EQ(p.bits, 8008u);
   EXPECT_EQ(p.ones, 11u);
   EXPECT_EQ(p.nonzero_bytes, 3u);
+}
+
+/// Structured input that every hand-tagged method encodes compactly.
+Bytes structured_input() {
+  Bytes in(6000, 0);
+  for (std::size_t i = 0; i < in.size(); i += 5) in[i] = static_cast<std::uint8_t>(i % 11 + 1);
+  return in;
+}
+
+/// Every prefix of `seg` that keeps the tag but loses payload bytes must be
+/// refused; none may decode to a full-size buffer.
+void expect_every_truncation_throws(const Bytes& seg, std::size_t size) {
+  ASSERT_GT(seg.size(), 2u);
+  for (std::size_t keep = 1; keep < seg.size(); keep += 1 + keep / 8) {
+    EXPECT_THROW(codec_decompress({seg.data(), keep}, size), std::runtime_error)
+        << "method " << int{seg[0]} << " kept " << keep << " of " << seg.size();
+  }
+}
+
+TEST(Codec, TruncatedRleSegmentThrows) {
+  const Bytes in = structured_input();
+  expect_every_truncation_throws(rle_segment(in), in.size());
+}
+
+TEST(Codec, TruncatedLzhSegmentThrows) {
+  const Bytes in = structured_input();
+  expect_every_truncation_throws(lzh_segment(in), in.size());
+}
+
+TEST(Codec, TagIsTheProbeRouteOrRaw) {
+  // The encoder runs exactly the routed codec; the only departure is the
+  // raw fallback when that codec fails to beat storage.
+  Rng rng(124);
+  for (int trial = 0; trial < 60; ++trial) {
+    Bytes in(rng.uniform_u64(6000));
+    const double density = rng.uniform();
+    for (auto& b : in) {
+      if (rng.uniform() < density) b = static_cast<std::uint8_t>(1u << rng.uniform_u64(8));
+    }
+    const CodecMethod routed = codec_route(codec_probe({in.data(), in.size()}),
+                                           {in.data(), in.size()});
+    const Bytes enc = codec_compress({in.data(), in.size()});
+    const CodecMethod got = method_of(enc);
+    EXPECT_TRUE(got == routed || got == CodecMethod::kRaw)
+        << "routed " << to_string(routed) << ", wrote " << to_string(got);
+  }
 }
 
 TEST(Codec, FuzzRoundTrip) {

@@ -8,22 +8,24 @@
 // deposit order shows up here as a hash mismatch, so the word-parallel
 // engine is pinned to be a pure speedup.
 //
-// Whole-field archives are no longer written: compress() with block_side 0
-// writes a one-block grid (format v2, or v3 for the wavelet backend).  The
-// v1 and whole-field v3 constants therefore pin frozen fixtures under
-// tests/fixtures/, written by the earlier whole-field writer: each fixture's
-// fnv1a equals its pinned archive hash, its reconstructions hold, and the
-// one-block archive of the same field and options carries the same segments
-// byte for byte (only the key packing and header differ) and reconstructs
-// identically.
-//
-// Every case runs under two codec policies:
-//   * kTryAll must reproduce the pre-orchestration constants bit-for-bit —
-//     archive bytes AND reconstructions — pinning that archives written by
-//     earlier releases are exactly reproducible and decode byte-identically.
-//   * kProbe (the new default) gets its own archive constants, but its
+// Every case has two archives, one per codec encoder:
+//   * try-all — the encoder of earlier releases, which encoded every segment
+//     with RLE and LZH and kept the smallest.  The library no longer has it,
+//     so these archives are frozen fixtures under tests/fixtures/, written by
+//     that encoder.  Each fixture's fnv1a equals its pinned archive hash and
+//     its reconstructions hold: archives written by earlier releases decode
+//     byte-identically.
+//   * probe — the shipped entropy-probed router.  Its archives regenerate from
+//     the current writer and have their own archive constants, but their
 //     reconstruction hashes must equal the try-all ones at every request:
 //     routing is a size/speed decision, never a fidelity one.
+//
+// Whole-field archives are no longer written either: compress() with
+// block_side 0 writes a one-block grid (format v2, or v3 for the wavelet
+// backend).  The v1 and whole-field v3 constants pin fixtures written by the
+// earlier whole-field writer, and the one-block archive of the same field and
+// options carries the same segments byte for byte (only the key packing and
+// header differ) and reconstructs identically.
 //
 // The synthetic fields use only exact integer arithmetic and single-rounded
 // double products (no libm transcendentals), so the inputs are bit-identical
@@ -124,27 +126,17 @@ GoldenHashes hashes_of(const Bytes& archive) {
 
 template <typename T>
 Bytes golden_archive(const Dims& dims, BackendId be, std::size_t block_side,
-                     std::size_t threshold, std::uint64_t seed,
-                     CodecPolicy codec) {
+                     std::size_t threshold, std::uint64_t seed) {
   auto field = golden_field<T>(dims, seed);
   Options opt;
   opt.backend = be;
   opt.block_side = block_side;
   opt.progressive_threshold = threshold;
   opt.error_bound = 1e-4;
-  opt.codec = codec;
   // The constants pin the pre-v4 container bytes; the v4 integrity wrapper
   // is covered by Golden.IntegrityV4Transparent below.
   opt.integrity = false;
   return compress(field.const_view(), opt);
-}
-
-template <typename T>
-GoldenHashes run_case(const Dims& dims, BackendId be, std::size_t block_side,
-                      std::size_t threshold, std::uint64_t seed,
-                      CodecPolicy codec) {
-  return hashes_of<T>(
-      golden_archive<T>(dims, be, block_side, threshold, seed, codec));
 }
 
 /// A frozen archive under tests/fixtures/.
@@ -203,8 +195,8 @@ void check(const char* name, const GoldenHashes& got, const GoldenHashes& want) 
 }
 
 // Hashes captured from the pre-refactor (PR 4) scalar bitplane pipeline
-// with the try-everything codec stage — the bytes every pre-orchestration
-// release wrote.  The try-all policy must keep reproducing them forever.
+// with the try-all codec stage — the bytes every pre-orchestration release
+// wrote.  Their fixtures must keep matching them forever.
 // Regenerate with IPCOMP_GOLDEN_PRINT=1 only for an intentional format change.
 // The interp mid/full hashes follow a refinement, which rebuilds each block
 // from its accumulated codes; they equal a one-shot read of the same planes.
@@ -223,7 +215,7 @@ constexpr GoldenHashes kWaveletV3Block{0x2a677ed253ba40dbull,
                                        0x95d956859728dfd5ull,
                                        0x8926ba20565e533aull};
 
-// Archive hashes under the probe-routed default policy.  The reconstruction
+// Archive hashes under the probe router.  The reconstruction
 // hashes are NOT new constants: a probe-policy case must reproduce the
 // try-all reconstructions exactly (same decode at every request), which
 // each test asserts by reusing the legacy constants' decode fields.
@@ -234,14 +226,15 @@ constexpr std::uint64_t kWaveletV3WholeProbeArchive = 0x1e6dccaabbcd88d9ull;
 constexpr std::uint64_t kWaveletV3BlockProbeArchive = 0xedd47ae5a904bbcbull;
 
 // Archive hashes of the one-block archives compress() writes with
-// block_side 0 for the whole-field cases above (v2 interp, v3 wavelet).
-// Their reconstructions are the whole-field ones.
+// block_side 0 for the whole-field cases above (v2 interp, v3 wavelet); the
+// try-all ones are fixtures now.  Their reconstructions are the whole-field
+// ones.
 constexpr std::uint64_t kInterpOneBlock = 0xf88d39db94436684ull;
 constexpr std::uint64_t kInterpOneBlockProbe = 0xd6acaa1edf6a193cull;
 constexpr std::uint64_t kWaveletOneBlock = 0x1ea4cf0c4b658535ull;
 constexpr std::uint64_t kWaveletOneBlockProbe = 0x62680979c3d32f73ull;
 
-/// Probe-policy expectation: new archive bytes, identical reconstructions.
+/// Probe expectation: new archive bytes, identical reconstructions.
 constexpr GoldenHashes with_archive(std::uint64_t archive,
                                     const GoldenHashes& legacy) {
   return {archive, legacy.coarse, legacy.mid, legacy.full};
@@ -254,25 +247,25 @@ struct GoldenCase {
   std::size_t block_side;
   std::size_t threshold;
   std::uint64_t seed;
-  GoldenHashes legacy;        // kTryAll: pre-orchestration bytes
-  std::uint64_t probe_archive;  // kProbe: new bytes, same reconstructions
+  const char* fixture;  // tests/fixtures/<fixture>_tryall.ipc
+  GoldenHashes legacy;  // try-all fixture: pre-orchestration bytes
+  std::uint64_t probe_archive;  // current writer: new bytes, same reconstructions
 };
 
 template <typename T>
 void run_golden(const GoldenCase& c) {
-  check((std::string(c.name) + " [tryall]").c_str(),
-        run_case<T>(c.dims, c.backend, c.block_side, c.threshold, c.seed,
-                    CodecPolicy::kTryAll),
+  check((std::string(c.name) + " [tryall] fixture").c_str(),
+        hashes_of<T>(fixture(std::string(c.fixture) + "_tryall.ipc")),
         c.legacy);
   check((std::string(c.name) + " [probe]").c_str(),
-        run_case<T>(c.dims, c.backend, c.block_side, c.threshold, c.seed,
-                    CodecPolicy::kProbe),
+        hashes_of<T>(golden_archive<T>(c.dims, c.backend, c.block_side,
+                                       c.threshold, c.seed)),
         with_archive(c.probe_archive, c.legacy));
 }
 
 // A whole-field case: the frozen fixtures the earlier writer made of the
 // field (v1 or whole-field v3), and the one-block archive the current writer
-// makes of it with block_side 0.
+// makes of it with block_side 0 (a fixture too for the try-all encoder).
 struct WholeFieldCase {
   const char* name;
   Dims dims;
@@ -280,20 +273,22 @@ struct WholeFieldCase {
   std::size_t threshold;
   std::uint64_t seed;
   const char* fixture;  // tests/fixtures/<fixture>_{tryall,probe}.ipc
+  const char* one_block_fixture;  // tests/fixtures/<...>_tryall.ipc
   GoldenHashes legacy;  // try-all fixture
   std::uint64_t probe_archive;  // probe fixture, same reconstructions
-  std::uint64_t one_block_archive;        // current writer, try-all
+  std::uint64_t one_block_archive;        // one-block try-all fixture
   std::uint64_t one_block_probe_archive;  // current writer, probe
 };
 
 void run_whole_field(const WholeFieldCase& c) {
-  for (CodecPolicy codec : {CodecPolicy::kTryAll, CodecPolicy::kProbe}) {
-    const bool tryall = codec == CodecPolicy::kTryAll;
+  for (const bool tryall : {true, false}) {
     const std::string tag = tryall ? "tryall" : "probe";
     const std::string name = std::string(c.name) + " [" + tag + "]";
     const Bytes frozen = fixture(std::string(c.fixture) + "_" + tag + ".ipc");
-    const Bytes one_block = golden_archive<double>(c.dims, c.backend, 0,
-                                                   c.threshold, c.seed, codec);
+    const Bytes one_block =
+        tryall ? fixture(std::string(c.one_block_fixture) + "_tryall.ipc")
+               : golden_archive<double>(c.dims, c.backend, 0, c.threshold,
+                                        c.seed);
     check((name + " fixture").c_str(), hashes_of<double>(frozen),
           with_archive(tryall ? c.legacy.archive : c.probe_archive, c.legacy));
     check((name + " one-block").c_str(), hashes_of<double>(one_block),
@@ -306,32 +301,37 @@ void run_whole_field(const WholeFieldCase& c) {
 TEST(Golden, InterpV1Whole) {
   run_whole_field({"interp v1 whole-field 40^3 f64", Dims{40, 40, 40},
                    BackendId::kInterp, 4096, 11, "interp_v1_40_seed11",
-                   kInterpV1, kInterpV1ProbeArchive, kInterpOneBlock,
+                   "interp_one_block_40_seed11", kInterpV1,
+                   kInterpV1ProbeArchive, kInterpOneBlock,
                    kInterpOneBlockProbe});
 }
 
 TEST(Golden, InterpV2Block) {
   run_golden<double>({"interp v2 block16 40^3 f64", Dims{40, 40, 40},
-                      BackendId::kInterp, 16, 256, 12, kInterpV2,
+                      BackendId::kInterp, 16, 256, 12,
+                      "interp_v2_block16_40_seed12", kInterpV2,
                       kInterpV2ProbeArchive});
 }
 
 TEST(Golden, InterpV2BlockF32) {
   run_golden<float>({"interp v2 block16 64x48 f32", Dims{64, 48},
-                     BackendId::kInterp, 16, 256, 13, kInterpV2F32,
+                     BackendId::kInterp, 16, 256, 13,
+                     "interp_v2_block16_64x48_f32_seed13", kInterpV2F32,
                      kInterpV2F32ProbeArchive});
 }
 
 TEST(Golden, WaveletV3Whole) {
   run_whole_field({"wavelet v3 whole-field 24^3 f64", Dims{24, 24, 24},
                    BackendId::kWavelet, 256, 14, "wavelet_v3_whole_24_seed14",
-                   kWaveletV3Whole, kWaveletV3WholeProbeArchive,
-                   kWaveletOneBlock, kWaveletOneBlockProbe});
+                   "wavelet_one_block_24_seed14", kWaveletV3Whole,
+                   kWaveletV3WholeProbeArchive, kWaveletOneBlock,
+                   kWaveletOneBlockProbe});
 }
 
 TEST(Golden, WaveletV3Block) {
   run_golden<double>({"wavelet v3 block16 24^3 f64", Dims{24, 24, 24},
-                      BackendId::kWavelet, 16, 256, 15, kWaveletV3Block,
+                      BackendId::kWavelet, 16, 256, 15,
+                      "wavelet_v3_block16_24_seed15", kWaveletV3Block,
                       kWaveletV3BlockProbeArchive});
 }
 
@@ -389,7 +389,7 @@ std::uint64_t plan_step_hash(const RetrievalPlan& p, const RetrievalStats& st) {
 Bytes ladder_archive(std::size_t side, BackendId backend,
                      std::size_t block_side, std::uint64_t seed) {
   return golden_archive<double>(Dims{side, side, side}, backend, block_side,
-                                256, seed, CodecPolicy::kProbe);
+                                256, seed);
 }
 
 void run_ladder(const char* name, const Bytes& archive, std::size_t side,

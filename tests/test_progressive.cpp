@@ -24,58 +24,34 @@ Bytes make_archive(const NdArray<double>& field, double eb_abs,
 
 // ----------------------------------------------------------------- EB mode
 
-class ProgressiveErrorBound
-    : public ::testing::TestWithParam<std::tuple<InterpKind, ErrorModel>> {};
+class ProgressiveErrorBound : public ::testing::TestWithParam<InterpKind> {};
 
 TEST_P(ProgressiveErrorBound, GuaranteeHoldsAcrossTargets) {
-  auto [kind, model] = GetParam();
+  const InterpKind kind = GetParam();
   auto field = smooth_field(Dims{40, 40, 24}, 21, /*noise=*/0.1);
   const double eb = 1e-7;
   Bytes archive = make_archive(field, eb, kind);
   for (double target : {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}) {
     MemorySource src{Bytes(archive)};
-    ReaderConfig cfg;
-    cfg.error_model = model;
-    ProgressiveReader<double> reader(src, cfg);
+    ProgressiveReader<double> reader(src);
     auto st = reader.retrieve(Request::error_bound(target));
     double actual = linf(field.const_view(), reader.data());
     EXPECT_LE(st.guaranteed_error, target * (1 + 1e-9)) << "target " << target;
-    if (model == ErrorModel::kConservative) {
-      // The conservative amplification model is a proven bound: the actual
-      // error always stays within both the target and the reported guarantee.
-      EXPECT_LE(actual, target * (1 + 1e-9)) << "target " << target;
-      EXPECT_LE(actual, st.guaranteed_error * (1 + 1e-9)) << "target " << target;
-    } else {
-      // The paper's Theorem-1 model ignores within-level (per-dimension)
-      // chaining and is empirically violated on multi-dimensional sweeps
-      // (see DESIGN.md §2).  The conservative model still bounds the result:
-      // actual <= eb + ratio * (target - eb), where ratio is the worst-case
-      // amplification gap between the two models across the levels.
-      const unsigned rank = static_cast<unsigned>(field.dims().rank());
-      const unsigned L =
-          static_cast<unsigned>(reader.header().block_levels[0].size());
-      double ratio = 1.0;
-      for (unsigned l = 1; l <= L; ++l) {
-        ratio = std::max(
-            ratio, level_amplification(ErrorModel::kConservative, kind, rank, l) /
-                       level_amplification(ErrorModel::kPaper, kind, rank, l));
-      }
-      EXPECT_LE(actual, (eb + ratio * (target - eb)) * (1 + 1e-9))
-          << "target " << target;
-    }
+    // The amplification model is a proven bound: the actual error always
+    // stays within both the target and the reported guarantee.
+    EXPECT_LE(actual, target * (1 + 1e-9)) << "target " << target;
+    EXPECT_LE(actual, st.guaranteed_error * (1 + 1e-9)) << "target " << target;
   }
 }
 
 TEST_P(ProgressiveErrorBound, LooserTargetsLoadLess) {
-  auto [kind, model] = GetParam();
+  const InterpKind kind = GetParam();
   auto field = smooth_field(Dims{32, 32, 32}, 22, 0.05);
   Bytes archive = make_archive(field, 1e-8, kind);
   std::size_t prev_bytes = std::numeric_limits<std::size_t>::max();
   for (double target : {1e-7, 1e-5, 1e-3, 1e-1}) {
     MemorySource src{Bytes(archive)};
-    ReaderConfig cfg;
-    cfg.error_model = model;
-    ProgressiveReader<double> reader(src, cfg);
+    ProgressiveReader<double> reader(src);
     auto st = reader.retrieve(Request::error_bound(target));
     EXPECT_LE(st.bytes_total, prev_bytes);
     prev_bytes = st.bytes_total;
@@ -89,14 +65,9 @@ TEST_P(ProgressiveErrorBound, LooserTargetsLoadLess) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, ProgressiveErrorBound,
-    ::testing::Combine(::testing::Values(InterpKind::kLinear, InterpKind::kCubic),
-                       ::testing::Values(ErrorModel::kPaper,
-                                         ErrorModel::kConservative)),
+    ::testing::Values(InterpKind::kLinear, InterpKind::kCubic),
     [](const auto& info) {
-      std::string s =
-          std::get<0>(info.param) == InterpKind::kCubic ? "cubic" : "linear";
-      s += std::get<1>(info.param) == ErrorModel::kPaper ? "_paper" : "_conservative";
-      return s;
+      return info.param == InterpKind::kCubic ? "cubic" : "linear";
     });
 
 // --------------------------------------------------------------- increments

@@ -375,6 +375,16 @@ TEST_P(RequestApi, FileSourceSweepCoalescesReads) {
   std::remove(path.c_str());
 }
 
+/// Rewrite `path` in place, keeping its inode, so a FileSource that already
+/// holds the file reads the new bytes (write_file would rename a new file
+/// over it, which an open FileSource never sees).
+void overwrite_in_place(const std::string& path, const Bytes& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  EXPECT_EQ(std::fclose(f), 0);
+}
+
 // A failed bulk fetch leaves the reader untouched: nothing is charged to
 // bytes_read(), the epoch is not burned (the same plan retries), and the
 // open cost is still attributed exactly once — Σ bytes_new == bytes_total
@@ -391,12 +401,13 @@ TEST_P(RequestApi, FailedFetchLeavesPlanRetryable) {
   const std::size_t bytes_before = src.stats().bytes_read;
 
   // Truncate the file under the source: the bulk read fails cleanly.
-  write_file(path, Bytes(archive.begin(), archive.begin() + archive.size() / 2));
+  overwrite_in_place(
+      path, Bytes(archive.begin(), archive.begin() + archive.size() / 2));
   EXPECT_THROW(reader.execute(p), std::runtime_error);
   EXPECT_EQ(src.stats().bytes_read, bytes_before);  // no phantom payload charged
 
   // Restore and retry the *same* plan.
-  write_file(path, archive);
+  overwrite_in_place(path, archive);
   RetrievalStats st = reader.execute(p);
   EXPECT_EQ(st.bytes_new, p.bytes_new);
   EXPECT_EQ(st.bytes_new, st.bytes_total);  // open cost attributed once

@@ -342,7 +342,7 @@ TEST(Serve, SessionQuotaRejectsAtAdmissionAndLeavesStateUntouched) {
   ASSERT_LT(coarse_cost, full_cost - 1);
 
   // A quota below the full price must reject full fidelity...
-  Session<double> metered(handle, {}, /*byte_quota=*/full_cost - 1);
+  Session<double> metered(handle, /*byte_quota=*/full_cost - 1);
   const RetrievalPlan full_plan = metered.plan(Request::full());
   EXPECT_THROW(metered.execute(full_plan), QuotaExceeded);
   // ...before any I/O: nothing consumed, the session still at zero.
