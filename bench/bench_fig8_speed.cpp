@@ -276,7 +276,10 @@ Bytes compress_try_all(std::span<const std::uint8_t> input) {
 /// byte streams append_plane_segments feeds codec_compress (encode_level's
 /// fused residual planes, prefix 2) under both code profiles, encoded by the
 /// probe router vs the try-all reference above.  Records per-method routing
-/// counts, encode MB/s of each, and the compressed-size delta.
+/// counts, encode MB/s of each, the compressed-size delta, and decode MB/s
+/// (raw bytes out) of the routed segments: all of them, and the LZH-tagged
+/// ones alone, whose decoder runs on one thread (bitpack decodes in parallel
+/// chunks).
 struct CodecCensus {
   std::size_t segments = 0;
   std::size_t raw_bytes = 0;
@@ -287,6 +290,8 @@ struct CodecCensus {
   double tryall_encode_mbps = 0.0;
   double speedup = 0.0;
   double ratio_delta_pct = 0.0;  // probe vs try-all compressed size, + = bigger
+  double decode_mbps = 0.0;
+  double lzh_decode_mbps = 0.0;
 };
 
 CodecCensus codec_census(int reps, std::size_t n) {
@@ -316,13 +321,33 @@ CodecCensus codec_census(int reps, std::size_t n) {
     }
     c.tryall_bytes = total;
   });
+  std::vector<Bytes> routed_segs;
+  std::size_t lzh_raw_bytes = 0;
   for (const Bytes& s : segs) {
     Bytes enc = codec_compress({s.data(), s.size()});
     ++c.method_counts[enc[0] < 5 ? enc[0] : 1];
     // Routed encodes must stay lossless — decode once outside the timing.
     Bytes dec = codec_decompress({enc.data(), enc.size()}, s.size());
     if (dec != s) std::printf("unreachable: codec census mismatch\n");
+    if (enc[0] == static_cast<std::uint8_t>(CodecMethod::kLzh)) {
+      lzh_raw_bytes += s.size();
+    }
+    routed_segs.push_back(std::move(enc));
   }
+  auto decode_mbps = [&](bool lzh_only, std::size_t raw_bytes) {
+    return median_of(reps, raw_bytes, [&] {
+      for (std::size_t i = 0; i < segs.size(); ++i) {
+        const Bytes& enc = routed_segs[i];
+        if (lzh_only && enc[0] != static_cast<std::uint8_t>(CodecMethod::kLzh)) {
+          continue;
+        }
+        Bytes dec = codec_decompress({enc.data(), enc.size()}, segs[i].size());
+        if (dec.size() != segs[i].size()) std::printf("unreachable\n");
+      }
+    }).mb_per_s;
+  };
+  c.decode_mbps = decode_mbps(false, c.raw_bytes);
+  c.lzh_decode_mbps = decode_mbps(true, lzh_raw_bytes);
   c.routed_encode_mbps = routed.mb_per_s;
   c.tryall_encode_mbps = tryall.mb_per_s;
   c.speedup = tryall.seconds / routed.seconds;
@@ -493,6 +518,9 @@ int block_compare(const char* json_path, int reps) {
               " bitpack %zu\n",
               cc.method_counts[0], cc.method_counts[1], cc.method_counts[2],
               cc.method_counts[3], cc.method_counts[4]);
+  std::printf("codec decode: all segments %.1f MB/s, lzh segments"
+              " (1 thread) %.1f MB/s\n",
+              cc.decode_mbps, cc.lzh_decode_mbps);
   std::printf("(target: >=2x compression speedup at 4 threads, >=256^3;"
               " >=1.5x routed vs try-all encode)\n");
 
@@ -531,7 +559,9 @@ int block_compare(const char* json_path, int reps) {
                  "    \"routed_encode_mbps\": %.2f,\n"
                  "    \"tryall_encode_mbps\": %.2f,\n"
                  "    \"speedup\": %.4f,\n"
-                 "    \"ratio_delta_pct\": %.4f\n"
+                 "    \"ratio_delta_pct\": %.4f,\n"
+                 "    \"decode_mbps\": %.2f,\n"
+                 "    \"lzh_decode_mbps\": %.2f\n"
                  "  },\n"
                  "  \"backends\": {\n"
                  "    \"interp\": {\n"
@@ -571,6 +601,7 @@ int block_compare(const char* json_path, int reps) {
                  cc.method_counts[1], cc.method_counts[2], cc.method_counts[3],
                  cc.method_counts[4], cc.routed_encode_mbps,
                  cc.tryall_encode_mbps, cc.speedup, cc.ratio_delta_pct,
+                 cc.decode_mbps, cc.lzh_decode_mbps,
                  c_block.seconds, c_block.mb_per_s, d_block.seconds,
                  d_block.mb_per_s, ratio_block,
                  f_interp.segments, f_interp.read_calls,

@@ -113,7 +113,8 @@ std::vector<double> Sz3Compressor::decompress(const Bytes& archive) {
   }
 
   std::size_t packed_size = r.varint();
-  Bytes huff_blob = lzh_decompress(r.bytes(packed_size));
+  const auto packed = r.bytes(packed_size);
+  Bytes huff_blob = lzh_decompress(packed, lzh_stored_size(packed));
   ByteReader hr({huff_blob.data(), huff_blob.size()});
   auto lengths = deserialize_code_lengths(hr);
   HuffmanDecoder dec(lengths);

@@ -124,11 +124,8 @@ Bytes codec_decompress(std::span<const std::uint8_t> input, std::size_t output_s
       return Bytes(payload.begin(), payload.end());
     case CodecMethod::kRle:
       return rle_decode(payload, output_size);
-    case CodecMethod::kLzh: {
-      Bytes out = lzh_decompress(payload);
-      if (out.size() != output_size) throw std::runtime_error("codec: lzh size mismatch");
-      return out;
-    }
+    case CodecMethod::kLzh:
+      return lzh_decompress(payload, output_size);
     case CodecMethod::kBitpack:
       return bitpack_decode(payload, output_size);
   }

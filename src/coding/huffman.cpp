@@ -10,12 +10,14 @@ namespace ipcomp {
 
 namespace {
 
+/// The low `len` bits of `code` in reverse order (len in [0, 32]).
 std::uint32_t bit_reverse(std::uint32_t code, unsigned len) {
-  std::uint32_t rev = 0;
-  for (unsigned i = 0; i < len; ++i) {
-    rev |= ((code >> i) & 1u) << (len - 1 - i);
-  }
-  return rev;
+  code = ((code >> 1) & 0x55555555u) | ((code & 0x55555555u) << 1);
+  code = ((code >> 2) & 0x33333333u) | ((code & 0x33333333u) << 2);
+  code = ((code >> 4) & 0x0F0F0F0Fu) | ((code & 0x0F0F0F0Fu) << 4);
+  code = ((code >> 8) & 0x00FF00FFu) | ((code & 0x00FF00FFu) << 8);
+  code = (code >> 16) | (code << 16);
+  return len == 0 ? 0 : code >> (32 - len);
 }
 
 /// Canonical code assignment from lengths: returns codes (MSB-first values).
@@ -167,59 +169,64 @@ std::uint64_t HuffmanEncoder::cost_bits(std::span<const std::uint64_t> freqs) co
 }
 
 HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
-  for (auto l : lengths) max_len_ = std::max<unsigned>(max_len_, l);
-  if (max_len_ > kHuffmanMaxLen) throw std::invalid_argument("huffman: length too long");
-  auto codes = assign_canonical(lengths, std::max(1u, max_len_));
-
-  // Canonical slow-path ranges: symbols sorted by (length, symbol).
   for (auto l : lengths) {
+    if (l > kHuffmanMaxLen) throw std::invalid_argument("huffman: length too long");
     if (l) ++count_[l];
+    max_len_ = std::max<unsigned>(max_len_, l);
   }
+  // Kraft sum in units of 2^-kHuffmanMaxLen.  Above 1 the canonical codes
+  // would collide and a later symbol would silently shadow an earlier one.
+  std::uint64_t kraft = 0;
+  for (unsigned len = 1; len <= kHuffmanMaxLen; ++len) {
+    kraft += std::uint64_t{count_[len]} << (kHuffmanMaxLen - len);
+  }
+  if (kraft > (std::uint64_t{1} << kHuffmanMaxLen)) {
+    throw std::runtime_error("huffman: over-subscribed code lengths");
+  }
+
+  // Canonical ranges: symbols sorted by (length, symbol), the codes of one
+  // length consecutive from first_code_.
   std::uint32_t code = 0;
   std::uint32_t index = 0;
+  std::uint32_t cursor[kHuffmanMaxLen + 1] = {};
   for (unsigned len = 1; len <= max_len_; ++len) {
     code = (code + count_[len - 1]) << 1;
     first_code_[len] = code;
     first_index_[len] = index;
+    cursor[len] = index;
     index += count_[len];
   }
   sorted_symbols_.resize(index);
-  std::vector<std::uint32_t> fill(kHuffmanMaxLen + 1, 0);
   for (std::size_t s = 0; s < lengths.size(); ++s) {
-    if (lengths[s]) {
-      unsigned len = lengths[s];
-      sorted_symbols_[first_index_[len] + fill[len]++] = static_cast<std::uint32_t>(s);
-    }
+    if (lengths[s]) sorted_symbols_[cursor[lengths[s]]++] = static_cast<std::uint32_t>(s);
   }
 
-  // Fast-path table over the first kTableBits arriving bits.
-  table_.assign(std::size_t{1} << kTableBits, 0);
-  for (std::size_t s = 0; s < lengths.size(); ++s) {
-    unsigned len = lengths[s];
-    if (len == 0 || len > kTableBits) continue;
-    std::uint32_t rev = bit_reverse(codes[s], len);
-    std::uint32_t entry = (static_cast<std::uint32_t>(s) << 5) | len;
-    for (std::uint32_t j = 0; j < (1u << (kTableBits - len)); ++j) {
-      table_[rev | (j << len)] = entry;
+  // Fast-path table over the first table_bits_ arriving bits: a code of
+  // length len owns every slot whose low len bits are its reversed code.
+  table_bits_ = std::min(kTableBits, max_len_);
+  const std::size_t slots = std::size_t{1} << table_bits_;
+  table_.assign(slots, 0);
+  for (unsigned len = 1; len <= table_bits_; ++len) {
+    for (std::uint32_t i = 0; i < count_[len]; ++i) {
+      const std::uint32_t symbol = sorted_symbols_[first_index_[len] + i];
+      const std::uint32_t entry = (symbol << 5) | len;
+      for (std::size_t j = bit_reverse(first_code_[len] + i, len); j < slots;
+           j += std::size_t{1} << len) {
+        table_[j] = entry;
+      }
     }
   }
 }
 
-std::uint32_t HuffmanDecoder::decode(BitReader& br) const {
-  std::uint32_t window = static_cast<std::uint32_t>(br.peek_bits(kTableBits));
-  std::uint32_t entry = table_[window];
-  if (entry != 0) {
-    br.skip_bits(entry & 31u);
-    return entry >> 5;
-  }
-  // Slow path: accumulate the code MSB-first (bits arrive MSB-first because
-  // the encoder writes them reversed).
+std::uint32_t HuffmanDecoder::long_code(std::uint32_t window) const {
+  // Accumulate the code MSB-first (bits arrive MSB-first because the encoder
+  // writes them reversed).
   std::uint32_t code = 0;
   for (unsigned len = 1; len <= max_len_; ++len) {
-    code = (code << 1) | br.get_bit();
+    code = (code << 1) | ((window >> (len - 1)) & 1u);
     if (count_[len] && code >= first_code_[len] &&
         code < first_code_[len] + count_[len]) {
-      return sorted_symbols_[first_index_[len] + (code - first_code_[len])];
+      return (sorted_symbols_[first_index_[len] + (code - first_code_[len])] << 5) | len;
     }
   }
   throw std::runtime_error("huffman: invalid code");

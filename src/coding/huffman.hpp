@@ -2,8 +2,11 @@
 //
 // Used directly by the SZ3 baseline (quantization codes) and as the entropy
 // stage of the LZ77 back-end.  Codes are canonical so only the code lengths
-// are serialized; decoding uses a 12-bit prefix table with a bit-by-bit
-// fallback for longer codes.
+// are serialized.  Decoding looks the next min(12, longest code) bits up in a
+// prefix table sized to that width (512 entries for a 9-bit code, never more
+// than 4096), filled straight from the canonical order without reversal
+// loops or scratch vectors; a code longer than the table falls back to a
+// bit-by-bit walk of the canonical ranges.
 #pragma once
 
 #include <cstdint>
@@ -64,15 +67,34 @@ class HuffmanEncoder {
 
 class HuffmanDecoder {
  public:
+  /// Throws std::runtime_error when the lengths over-subscribe the code
+  /// space (Kraft sum above 1), which no encoder output does.
   explicit HuffmanDecoder(std::span<const std::uint8_t> lengths);
 
-  std::uint32_t decode(BitReader& br) const;
+  /// Inline, and nothing below takes the reader's address, so a caller's
+  /// BitReader stays in registers: a code longer than the table is resolved
+  /// from a peek of the next max_len_ bits by the out-of-line long_code().
+  std::uint32_t decode(BitReader& br) const {
+    std::uint32_t entry =
+        table_[static_cast<std::size_t>(br.peek_bits(table_bits_))];
+    if (entry == 0) [[unlikely]] {
+      entry = long_code(static_cast<std::uint32_t>(br.peek_bits(max_len_)));
+    }
+    br.skip_bits(entry & 31u);
+    return entry >> 5;
+  }
 
  private:
   static constexpr unsigned kTableBits = 12;
 
-  // Fast path: prefix table entry = (symbol << 5) | code_length, 0 = escape.
+  /// Table-style entry for the code that starts `window` (the next max_len_
+  /// stream bits, first bit lowest); throws when no code matches.
+  std::uint32_t long_code(std::uint32_t window) const;
+
+  // Fast path: prefix table over the first table_bits_ arriving bits, entry =
+  // (symbol << 5) | code_length, 0 = longer code (or no code).
   std::vector<std::uint32_t> table_;
+  unsigned table_bits_ = 0;
   // Slow path: canonical first-code ranges per length.
   std::uint32_t first_code_[kHuffmanMaxLen + 1] = {};
   std::uint32_t first_index_[kHuffmanMaxLen + 1] = {};

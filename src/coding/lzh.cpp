@@ -1,6 +1,7 @@
 #include "coding/lzh.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
@@ -29,26 +30,41 @@ struct Bucket {
   std::uint32_t extra_value;
 };
 
-Bucket bucketize(std::uint32_t v) {
+constexpr Bucket bucketize(std::uint32_t v) {
   if (v < 8) return {v, 0, 0};
   unsigned k = 31 - std::countl_zero(v);  // v in [2^k, 2^(k+1))
   std::uint32_t sym = 8 + (k - 3) * 2 + ((v >> (k - 1)) & 1u);
   return {sym, k - 1, v & ((1u << (k - 1)) - 1u)};
 }
 
-std::uint32_t unbucketize(std::uint32_t sym, std::uint32_t extra) {
-  if (sym < 8) return sym;
-  unsigned k = (sym - 8) / 2 + 3;
-  std::uint32_t high = 2 + ((sym - 8) & 1u);  // 2 or 3 = top two bits
-  return (high << (k - 1)) | extra;
+constexpr std::uint32_t kLenBuckets = bucketize(kMaxMatch - kMinMatch).symbol + 1;
+constexpr std::uint32_t kLenAlphabet = 256 + kLenBuckets;
+constexpr std::uint32_t kDistAlphabet = bucketize(kBlockSize - 1).symbol + 1;
+
+/// Decode side of a bucket symbol: the smallest value it stands for (plus
+/// `offset`, which undoes the encoder's bias) and its extra-bit count.
+struct BucketBase {
+  std::uint32_t base;
+  std::uint32_t extra_bits;
+};
+
+template <std::uint32_t N>
+constexpr std::array<BucketBase, N> bucket_bases(std::uint32_t offset) {
+  std::array<BucketBase, N> table{};
+  for (std::uint32_t sym = 0; sym < N; ++sym) {
+    if (sym < 8) {
+      table[sym] = {sym + offset, 0};
+    } else {
+      const std::uint32_t extra_bits = (sym - 8) / 2 + 2;
+      const std::uint32_t high = 2 + ((sym - 8) & 1u);  // top two bits
+      table[sym] = {(high << extra_bits) + offset, extra_bits};
+    }
+  }
+  return table;
 }
 
-std::uint32_t max_bucket_symbol(std::uint32_t max_v) {
-  return bucketize(max_v).symbol;
-}
-
-const std::uint32_t kLenAlphabet = 256 + max_bucket_symbol(kMaxMatch - kMinMatch) + 1;
-const std::uint32_t kDistAlphabet = max_bucket_symbol(kBlockSize - 1) + 1;
+constexpr auto kLengthBases = bucket_bases<kLenBuckets>(kMinMatch);
+constexpr auto kDistanceBases = bucket_bases<kDistAlphabet>(1);
 
 struct Token {
   std::uint32_t literal_or_len;  // < 256: literal; >= 256: match length
@@ -173,39 +189,49 @@ Bytes compress_block(std::span<const std::uint8_t> in) {
   return w.take();
 }
 
-Bytes decompress_block(std::span<const std::uint8_t> in, std::size_t raw_size) {
+/// Decode one compressed block into `out`, which is exactly its raw size.
+void decompress_block(std::span<const std::uint8_t> in, std::span<std::uint8_t> out) {
   ByteReader r(in);
   // The encoder always writes both full alphabets; any other size is forged
-  // and would let a symbol past the bucket range reach unbucketize.
-  auto lit_lengths = deserialize_code_lengths(r, kLenAlphabet);
-  auto dist_lengths = deserialize_code_lengths(r, kDistAlphabet);
-  HuffmanDecoder lit_dec(lit_lengths);
-  HuffmanDecoder dist_dec(dist_lengths);
+  // and would let a symbol past the bucket tables through.
+  const HuffmanDecoder lit_dec(deserialize_code_lengths(r, kLenAlphabet));
+  const HuffmanDecoder dist_dec(deserialize_code_lengths(r, kDistAlphabet));
   std::size_t bits_size = r.varint();
   BitReader br(r.bytes(bits_size));
 
-  Bytes out;
-  out.reserve(raw_size);
-  while (out.size() < raw_size) {
-    std::uint32_t sym = lit_dec.decode(br);
+  std::uint8_t* const dst = out.data();
+  const std::size_t raw_size = out.size();
+  std::size_t pos = 0;
+  while (pos < raw_size) {
+    const std::uint32_t sym = lit_dec.decode(br);
     if (sym < 256) {
-      out.push_back(static_cast<std::uint8_t>(sym));
-    } else {
-      std::uint32_t lsym = sym - 256;
-      std::uint32_t extra_bits = lsym < 8 ? 0 : (lsym - 8) / 2 + 2;
-      std::uint32_t len_v = unbucketize(lsym, static_cast<std::uint32_t>(br.get_bits(extra_bits)));
-      std::size_t len = len_v + kMinMatch;
-      std::uint32_t dsym = dist_dec.decode(br);
-      std::uint32_t dextra = dsym < 8 ? 0 : (dsym - 8) / 2 + 2;
-      std::size_t dist = unbucketize(dsym, static_cast<std::uint32_t>(br.get_bits(dextra))) + 1;
-      if (dist > out.size()) throw std::runtime_error("lzh: bad distance");
-      if (out.size() + len > raw_size) throw std::runtime_error("lzh: overflow");
-      // Overlapping copies are the point (runs); copy byte-wise.
-      std::size_t src = out.size() - dist;
-      for (std::size_t i = 0; i < len; ++i) out.push_back(out[src + i]);
+      dst[pos++] = static_cast<std::uint8_t>(sym);
+      continue;
     }
+    const BucketBase lb = kLengthBases[sym - 256];
+    const std::size_t len = lb.base + br.get_bits(lb.extra_bits);
+    const BucketBase db = kDistanceBases[dist_dec.decode(br)];
+    const std::size_t dist = db.base + br.get_bits(db.extra_bits);
+    if (dist > pos) throw std::runtime_error("lzh: bad distance");
+    if (len > raw_size - pos) throw std::runtime_error("lzh: overflow");
+    std::uint8_t* const to = dst + pos;
+    const std::uint8_t* const from = to - dist;
+    if (dist == 1) {
+      std::memset(to, *from, len);
+    } else if (len <= 16 && dist >= 16 && raw_size - pos >= 16) {
+      // A short match with room behind it: one fixed-size copy instead of a
+      // size-dispatched call.  The bytes past `len` are rewritten by the
+      // tokens that fill the rest of the block.
+      std::memcpy(to, from, 16);
+    } else if (dist >= len) {
+      std::memcpy(to, from, len);
+    } else {
+      // Overlapping copies are the point (runs): each byte may read one
+      // this match just wrote.
+      for (std::size_t i = 0; i < len; ++i) to[i] = from[i];
+    }
+    pos += len;
   }
-  return out;
 }
 
 }  // namespace
@@ -238,27 +264,33 @@ Bytes lzh_compress(std::span<const std::uint8_t> input) {
   return w.take();
 }
 
-Bytes lzh_decompress(std::span<const std::uint8_t> input) {
+Bytes lzh_decompress(std::span<const std::uint8_t> input, std::size_t expected_size) {
   ByteReader r(input);
-  std::size_t total = r.varint();
-  Bytes out;
-  out.reserve(total);
-  std::size_t remaining = total;
-  while (remaining > 0) {
-    std::size_t raw_size = std::min(kBlockSize, remaining);
-    std::uint8_t is_raw = r.u8();
-    std::size_t len = r.varint();
-    auto payload = r.bytes(len);
+  if (r.varint() != expected_size) throw std::runtime_error("lzh: stored size mismatch");
+  Bytes out(expected_size);
+  for (std::size_t off = 0; off < expected_size; off += kBlockSize) {
+    const std::span<std::uint8_t> block(out.data() + off,
+                                        std::min(kBlockSize, expected_size - off));
+    const std::uint8_t is_raw = r.u8();
+    const std::size_t len = r.varint();
+    const auto payload = r.bytes(len);
     if (is_raw) {
-      if (len != raw_size) throw std::runtime_error("lzh: raw block size mismatch");
-      out.insert(out.end(), payload.begin(), payload.end());
+      if (len != block.size()) throw std::runtime_error("lzh: raw block size mismatch");
+      std::memcpy(block.data(), payload.data(), len);
     } else {
-      Bytes blk = decompress_block(payload, raw_size);
-      out.insert(out.end(), blk.begin(), blk.end());
+      decompress_block(payload, block);
     }
-    remaining -= raw_size;
   }
   return out;
+}
+
+std::size_t lzh_stored_size(std::span<const std::uint8_t> input) {
+  ByteReader r(input);
+  const std::size_t total = r.varint();
+  // Every block costs at least a flag byte and a one-byte length.
+  const std::size_t blocks = total / kBlockSize + (total % kBlockSize != 0);
+  if (blocks > r.remaining() / 2) throw std::runtime_error("lzh: stored size exceeds input");
+  return total;
 }
 
 }  // namespace ipcomp

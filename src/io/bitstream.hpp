@@ -6,7 +6,9 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -84,9 +86,13 @@ class BitWriter {
 /// LSB-first bit reader with lookahead.  Reading past the end of the stream
 /// yields zero bits (the writer zero-pads its final byte); consuming more than
 /// a full byte beyond the end throws.
+///
+/// Every member is inline and nothing takes the reader's address, so a
+/// decode loop that owns a BitReader keeps its state in registers.
 class BitReader {
  public:
-  explicit BitReader(std::span<const std::uint8_t> data) : data_(data) {}
+  explicit BitReader(std::span<const std::uint8_t> data)
+      : data_(data), word_end_(data.size() >= 8 ? data.size() - 7 : 0) {}
 
   std::uint32_t get_bit() {
     ensure(1);
@@ -98,17 +104,9 @@ class BitReader {
 
   /// Read `n` bits, LSB first.  n in [0, 64].
   std::uint64_t get_bits(unsigned n) {
-    if (n == 0) return 0;
-    if (n <= 56) {
-      ensure(n);
-      std::uint64_t mask = (n >= 64) ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
-      std::uint64_t v = acc_ & mask;
-      acc_ >>= n;
-      fill_ -= n;
-      return v;
-    }
-    std::uint64_t lo = get_bits(32);
-    std::uint64_t hi = get_bits(n - 32);
+    if (n <= 56) return take(n);
+    std::uint64_t lo = take(32);
+    std::uint64_t hi = take(n - 32);
     return lo | (hi << 32);
   }
 
@@ -137,18 +135,50 @@ class BitReader {
   std::size_t bits_consumed() const { return pos_ * 8 - fill_; }
 
  private:
+  static_assert(std::endian::native == std::endian::little,
+                "BitReader loads stream words little-endian");
+
+  /// get_bits for n in [0, 56], without recursion so it always inlines (and
+  /// without a branch on n == 0, which decoders hit unpredictably).
+  std::uint64_t take(unsigned n) {
+    ensure(n);
+    std::uint64_t v = acc_ & ((std::uint64_t{1} << n) - 1);
+    acc_ >>= n;
+    fill_ -= n;
+    return v;
+  }
+
+  [[noreturn]] static void out_of_data() {
+    throw std::runtime_error("BitReader: out of data");
+  }
+
+  /// Make at least `n` (<= 56) bits available.  While 8 stream bytes remain
+  /// the refill ORs a whole word in at `fill_` and counts only the bytes that
+  /// fit; the bits above the new fill are the stream's next bytes at their
+  /// own positions, so the next refill ORs the same values over them.  Once
+  /// all stream bytes are loaded those bits are zero, which the byte-wise
+  /// tail and the bounded zero padding rely on.
   void ensure(unsigned n) {
+    if (fill_ >= n) [[likely]] return;
+    if (pos_ < word_end_) [[likely]] {
+      std::uint64_t word;
+      std::memcpy(&word, data_.data() + pos_, 8);
+      acc_ |= word << fill_;
+      const unsigned bytes = (64 - fill_) >> 3;
+      pos_ += bytes;
+      fill_ += bytes * 8;
+      return;
+    }
     while (fill_ < n) {
       if (pos_ < data_.size()) {
         acc_ |= static_cast<std::uint64_t>(data_[pos_++]) << fill_;
         fill_ += 8;
-      } else if (virtual_pad_ + 8 <= kMaxPadBits) {
+      } else if (pos_ < data_.size() + kMaxPadBits / 8) {
         // Zero padding past the end; bounded so runaway reads still throw.
-        virtual_pad_ += 8;
         ++pos_;
         fill_ += 8;
       } else {
-        throw std::runtime_error("BitReader: out of data");
+        out_of_data();
       }
     }
   }
@@ -156,10 +186,10 @@ class BitReader {
   static constexpr unsigned kMaxPadBits = 64;
 
   std::span<const std::uint8_t> data_;
+  std::size_t word_end_;  // a whole word loads from every pos_ below this
   std::size_t pos_ = 0;
   std::uint64_t acc_ = 0;
   unsigned fill_ = 0;
-  unsigned virtual_pad_ = 0;
 };
 
 }  // namespace ipcomp

@@ -63,7 +63,7 @@ QuantizedPayload encode_codes(const std::vector<std::int64_t>& codes) {
 
 std::vector<std::int64_t> decode_codes(std::span<const std::uint8_t> blob,
                                        std::size_t n) {
-  Bytes raw = lzh_decompress(blob);
+  Bytes raw = lzh_decompress(blob, lzh_stored_size(blob));
   ByteReader r({raw.data(), raw.size()});
   auto lengths = deserialize_code_lengths(r);
   HuffmanDecoder dec(lengths);
@@ -162,7 +162,8 @@ std::vector<double> SperrCompressor::decompress(const Bytes& archive) {
   cdf97_inverse({out.data(), dims}, levels);
 
   std::size_t corr_size = r.varint();
-  Bytes corr = lzh_decompress(r.bytes(corr_size));
+  const auto corr_packed = r.bytes(corr_size);
+  Bytes corr = lzh_decompress(corr_packed, lzh_stored_size(corr_packed));
   ByteReader cr({corr.data(), corr.size()});
   std::size_t n_corr = cr.varint();
   std::size_t idx = 0;

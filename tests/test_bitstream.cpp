@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "io/bitstream.hpp"
+#include "reference_coding.hpp"
 #include "util/rng.hpp"
 
 namespace ipcomp {
@@ -107,6 +108,52 @@ TEST(BitStream, BitCountTracksProgress) {
   EXPECT_EQ(w.bit_count(), 13u);
   w.put_bits(0, 64);
   EXPECT_EQ(w.bit_count(), 77u);
+}
+
+TEST(Bitstream, WordRefillMatchesByteReference) {
+  // Every stream length around the 8-byte word refill threshold, random
+  // mixes of peeks, skips and reads of 0-56 bits (plus the split 57-64 bit
+  // reads), compared value by value with the byte-wise reference, including
+  // bits_consumed() and the point where the bounded zero padding throws.
+  Rng rng(77);
+  for (std::size_t size = 0; size <= 24; ++size) {
+    for (int trial = 0; trial < 40; ++trial) {
+      Bytes data(size);
+      for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
+      BitReader fast({data.data(), data.size()});
+      reference::ByteBitReader ref({data.data(), data.size()});
+      for (int op = 0; op < 64; ++op) {
+        const auto kind = rng.uniform_u64(4);
+        const auto n = static_cast<unsigned>(
+            kind == 3 ? 57 + rng.uniform_u64(8) : rng.uniform_u64(57));
+        std::uint64_t got = 0;
+        std::uint64_t want = 0;
+        bool fast_threw = false;
+        bool ref_threw = false;
+        try {
+          got = kind == 0   ? fast.peek_bits(n)
+                : kind == 1 ? (fast.skip_bits(n), 0)
+                            : fast.get_bits(n);
+        } catch (const std::runtime_error&) {
+          fast_threw = true;
+        }
+        try {
+          want = kind == 0   ? ref.peek_bits(n)
+                 : kind == 1 ? (ref.skip_bits(n), 0)
+                             : ref.get_bits(n);
+        } catch (const std::runtime_error&) {
+          ref_threw = true;
+        }
+        ASSERT_EQ(fast_threw, ref_threw)
+            << "size " << size << " trial " << trial << " op " << op;
+        if (ref_threw) break;
+        ASSERT_EQ(got, want) << "size " << size << " trial " << trial << " op " << op
+                             << " kind " << kind << " n " << n;
+        ASSERT_EQ(fast.bits_consumed(), ref.bits_consumed())
+            << "size " << size << " trial " << trial << " op " << op;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -108,7 +108,7 @@ TEST_P(FuzzSeeds, LzhArbitraryBytes) {
       }
     }
     Bytes enc = lzh_compress({in.data(), in.size()});
-    EXPECT_EQ(lzh_decompress({enc.data(), enc.size()}), in);
+    EXPECT_EQ(lzh_decompress({enc.data(), enc.size()}, in.size()), in);
   }
 }
 

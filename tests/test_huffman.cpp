@@ -153,5 +153,20 @@ TEST(Huffman, EmptyAlphabet) {
   for (auto l : lengths) EXPECT_EQ(l, 0);
 }
 
+TEST(Huffman, OverSubscribedLengthsRejected) {
+  // Three one-bit codes do not fit (Kraft sum 3/2): a table built from them
+  // would let symbol 2 shadow symbol 0 and decode silently wrong.
+  const std::vector<std::uint8_t> three_one_bit = {1, 1, 1};
+  EXPECT_THROW(HuffmanDecoder{three_one_bit}, std::runtime_error);
+  // Kraft sum exactly 1 and below it are valid codes.
+  EXPECT_NO_THROW(HuffmanDecoder(std::vector<std::uint8_t>{1, 2, 2}));
+  EXPECT_NO_THROW(HuffmanDecoder(std::vector<std::uint8_t>{1, 0, 3}));
+  // Over-subscribed only among long codes, past the lookup table's width.
+  std::vector<std::uint8_t> long_codes(1 << 13, 13);
+  EXPECT_NO_THROW(HuffmanDecoder{long_codes});
+  long_codes.push_back(13);
+  EXPECT_THROW(HuffmanDecoder{long_codes}, std::runtime_error);
+}
+
 }  // namespace
 }  // namespace ipcomp
