@@ -294,6 +294,9 @@ struct CodecCensus {
   double lzh_decode_mbps = 0.0;
 };
 
+/// Fewest timed runs behind each census decode median.
+constexpr int kDecodeReps = 9;
+
 CodecCensus codec_census(int reps, std::size_t n) {
   CodecCensus c;
   std::vector<Bytes> segs;
@@ -334,8 +337,10 @@ CodecCensus codec_census(int reps, std::size_t n) {
     }
     routed_segs.push_back(std::move(enc));
   }
+  // Decode timings take their own, larger repetition count: a median of
+  // `--repeat 3` spread by about a quarter between runs on a shared host.
   auto decode_mbps = [&](bool lzh_only, std::size_t raw_bytes) {
-    return median_of(reps, raw_bytes, [&] {
+    return median_of(std::max(reps, kDecodeReps), raw_bytes, [&] {
       for (std::size_t i = 0; i < segs.size(); ++i) {
         const Bytes& enc = routed_segs[i];
         if (lzh_only && enc[0] != static_cast<std::uint8_t>(CodecMethod::kLzh)) {

@@ -398,8 +398,10 @@ std::size_t cache_budget_bytes(const Args& a) {
 }
 
 void print_serve_stats(const net::ServeStats& s) {
-  static const char* kOps[] = {"HELLO", "OPEN",   "EXECUTE", "STAT",
-                               "CLOSE", "RESUME", "unknown"};
+  // op_slot order (net::kRequestOps), then the unknown-opcode slot.
+  static const char* kOps[] = {"HELLO", "OPEN", "FETCH", "STAT", "CLOSE",
+                               "unknown"};
+  static_assert(std::size(kOps) == net::kRequestOpCount + 1);
   std::cout << "connections : " << s.connections_accepted << " accepted, "
             << s.connections_active << " active, " << s.idle_reaped
             << " idle-reaped, " << s.slow_client_evictions

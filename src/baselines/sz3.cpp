@@ -102,7 +102,12 @@ std::vector<double> Sz3Compressor::decompress(const Bytes& archive) {
   const Dims dims = Dims::of_rank(rank, extents);
   const double eb = r.f64();
   const auto interp = static_cast<InterpKind>(r.u8());
-  const std::uint32_t radius = static_cast<std::uint32_t>(r.varint());
+  const std::uint64_t radius = r.varint();
+  // The symbol alphabet is 2 * radius; compress() could only have coded one
+  // that build_code_lengths accepts.
+  if (radius == 0 || radius > (std::uint64_t{1} << (kHuffmanMaxLen - 1))) {
+    throw std::runtime_error("sz3: quantization radius out of range");
+  }
 
   std::size_t n_outliers = r.varint();
   std::map<std::size_t, double> outliers;
@@ -116,7 +121,7 @@ std::vector<double> Sz3Compressor::decompress(const Bytes& archive) {
   const auto packed = r.bytes(packed_size);
   Bytes huff_blob = lzh_decompress(packed, lzh_stored_size(packed));
   ByteReader hr({huff_blob.data(), huff_blob.size()});
-  auto lengths = deserialize_code_lengths(hr);
+  auto lengths = deserialize_code_lengths(hr, 2 * radius);
   HuffmanDecoder dec(lengths);
   std::size_t bits_size = hr.varint();
   BitReader br(hr.bytes(bits_size));

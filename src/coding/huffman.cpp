@@ -133,8 +133,8 @@ void serialize_code_lengths(ByteWriter& w, std::span<const std::uint8_t> lengths
 
 std::vector<std::uint8_t> deserialize_code_lengths(
     ByteReader& r, std::size_t expected_alphabet) {
-  std::size_t alphabet = r.varint();
-  if (expected_alphabet != 0 && alphabet != expected_alphabet) {
+  const std::size_t alphabet = r.varint();
+  if (alphabet != expected_alphabet) {
     throw std::runtime_error("huffman: unexpected alphabet size");
   }
   std::size_t n_used = r.varint();

@@ -29,11 +29,11 @@ std::vector<std::uint8_t> build_code_lengths(std::span<const std::uint64_t> freq
 
 /// Serialize code lengths compactly (sparse symbol/length pairs).
 void serialize_code_lengths(ByteWriter& w, std::span<const std::uint8_t> lengths);
-/// Inverse of serialize_code_lengths.  A nonzero `expected_alphabet` is the
-/// only alphabet size the caller accepts: any other stored size throws
+/// Inverse of serialize_code_lengths.  `expected_alphabet` is the only
+/// alphabet size the caller accepts: any other stored size throws
 /// std::runtime_error before anything is allocated.
 std::vector<std::uint8_t> deserialize_code_lengths(
-    ByteReader& r, std::size_t expected_alphabet = 0);
+    ByteReader& r, std::size_t expected_alphabet);
 
 class HuffmanEncoder {
  public:

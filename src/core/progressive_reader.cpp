@@ -404,11 +404,6 @@ RetrievalStats ProgressiveReader<T>::execute(const RetrievalPlan& p) {
     throw std::logic_error(
         "execute: stale plan (the reader advanced since plan() ran)");
   }
-  if (mirror_) {
-    throw std::logic_error(
-        "execute: reader is a plan-pricing mirror (acknowledge() ran); it "
-        "holds no decoded state to refine");
-  }
   const std::size_t entry = src_.stats().bytes_read;
 
   // One bulk fetch for everything the plan names — base, aux and plane
@@ -473,41 +468,6 @@ RetrievalStats ProgressiveReader<T>::execute(const RetrievalPlan& p) {
       decode(i);
       rebuild(i);
     }, /*grain=*/2);
-  }
-  return finish_stats(before, p.blocks);
-}
-
-template <typename T>
-RetrievalStats ProgressiveReader<T>::acknowledge(const RetrievalPlan& p) {
-  if (p.epoch != epoch_) {
-    throw std::logic_error(
-        "acknowledge: stale plan (the reader advanced since plan() ran)");
-  }
-  if (!xhat_.empty()) {
-    throw std::logic_error(
-        "acknowledge: reader already holds decoded state; a pricing mirror "
-        "must never execute()");
-  }
-  ++epoch_;
-  mirror_ = true;
-  // The caller fetched the plan's segments through src_ before calling, so
-  // the ledger already moved by exactly the payload volume; backing
-  // p.bytes_new out of it reproduces execute()'s `before` point (and folds
-  // the open-cost attribution in, since plans price it).
-  const std::size_t now = src_.stats().bytes_read;
-  const std::size_t before = now >= p.bytes_new ? now - p.bytes_new : 0;
-  unattributed_open_cost_ = 0;
-
-  for (const SegmentId& id : p.segments) {
-    BlockState& bs = blocks_[id.block];
-    if (id.kind == kSegBase) {
-      bs.base_loaded = true;
-    } else if (id.kind == kSegPlane) {
-      const LevelHeader& lh = header_.block_levels[id.block][id.level - 1];
-      bs.planes_used[id.level - 1] =
-          std::max(bs.planes_used[id.level - 1], lh.n_planes - id.plane);
-    }
-    // kSegAux rides along with the base; nothing to track.
   }
   return finish_stats(before, p.blocks);
 }

@@ -80,7 +80,9 @@ struct RetrievalStats {
 /// TSan).  Scaling to many concurrent clients means one reader per client
 /// over per-client sources of one shared archive — the serve layer
 /// (serve/archive_set.hpp) packages exactly that: per-client Sessions whose
-/// SessionSources share one cache + pooled I/O tier.
+/// SessionSources share one cache + pooled I/O tier.  A remote client
+/// (net/client.hpp) is the same reader over a source primed from the wire;
+/// the daemon it talks to holds no reader at all.
 template <typename T>
 class ProgressiveReader {
  public:
@@ -115,20 +117,6 @@ class ProgressiveReader {
   /// optionally scoped with .within(lo, hi) — so this is the single entry
   /// point for callers that don't need to inspect the plan.
   RetrievalStats retrieve(const Request& req) { return execute(plan(req)); }
-
-  /// Advance the planning residency for `p` without decoding anything: the
-  /// epoch, the open-cost attribution and the per-block planes-used
-  /// bookkeeping all move exactly as execute() would move them,
-  /// but no payload is inflated and no reconstruction exists.  This is the
-  /// server side of remote serving (net/server.hpp): the daemon fetches the
-  /// plan's segments, ships them to the client, and acknowledges the plan so
-  /// the *next* plan prices only what that client still misses.  The caller
-  /// must already have fetched exactly the plan's segments through this
-  /// reader's source (the stats ledger is shared with it).  A reader that
-  /// has acknowledged is a pricing mirror: execute()/retrieve() on it throw,
-  /// and data() stays empty.  Throws std::logic_error on a stale plan or on
-  /// a reader that already holds decoded state.
-  RetrievalStats acknowledge(const RetrievalPlan& p);
 
   /// Current state serial (plans record it; see RetrievalPlan::epoch).
   std::uint64_t epoch() const { return epoch_; }
@@ -207,9 +195,6 @@ class ProgressiveReader {
   /// State serial: bumped by every execute(); plans record it so execute()
   /// can reject plans computed against an older state.
   std::uint64_t epoch_ = 0;
-  /// Set by acknowledge(): the reader is a plan-pricing mirror with no
-  /// decoded state, so execute() must never run on it.
-  bool mirror_ = false;
   Header header_;
   BlockGrid grid_;
   unsigned n_levels_ = 0;  // max over blocks

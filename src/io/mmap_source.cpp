@@ -51,7 +51,7 @@ MmapSource::~MmapSource() {
   }
 }
 
-void MmapSource::mirror_fallback(const SourceStats& before) {
+void MmapSource::fold_fallback_stats(const SourceStats& before) {
   const SourceStats after = fallback_->stats();
   charge_bytes(after.bytes_read - before.bytes_read);
   for (std::size_t k = before.read_calls; k < after.read_calls; ++k) {
@@ -67,7 +67,7 @@ const Bytes& MmapSource::header() {
   if (fallback_) {
     const SourceStats before = fallback_->stats();
     const Bytes& h = fallback_->header();
-    mirror_fallback(before);
+    fold_fallback_stats(before);
     return h;
   }
   if (!header_charged_) {
@@ -92,7 +92,7 @@ Bytes MmapSource::read_segment(SegmentId id) {
   if (fallback_) {
     const SourceStats before = fallback_->stats();
     Bytes out = fallback_->read_segment(id);
-    mirror_fallback(before);
+    fold_fallback_stats(before);
     return out;
   }
   const ArchiveIndex::Entry& e = resolve(id);
@@ -107,7 +107,7 @@ std::vector<Bytes> MmapSource::read_many(std::span<const SegmentId> ids) {
   if (fallback_) {
     const SourceStats before = fallback_->stats();
     std::vector<Bytes> out = fallback_->read_many(ids);
-    mirror_fallback(before);
+    fold_fallback_stats(before);
     return out;
   }
   std::vector<Bytes> out(ids.size());

@@ -59,7 +59,7 @@ class MmapSource final : public SegmentSource {
   const ArchiveIndex::Entry& resolve(SegmentId id) const;
   /// Fold what the fallback just charged into this source's own counters,
   /// so stats() reads the same no matter which path is live.
-  void mirror_fallback(const SourceStats& before);
+  void fold_fallback_stats(const SourceStats& before);
 
   /// nullptr when falling back; spans the whole file otherwise.
   const std::uint8_t* map_ = nullptr;

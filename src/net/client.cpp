@@ -1,5 +1,6 @@
 #include "net/client.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -59,12 +60,8 @@ namespace {
   switch (e.code()) {
     case ErrCode::kQuotaExceeded:
       throw QuotaExceeded(e.a(), e.b());
-    case ErrCode::kStalePlan:
-      throw std::logic_error(e.what());
     case ErrCode::kBadRequest:
       throw std::invalid_argument(e.what());
-    case ErrCode::kPriceDrift:
-      throw std::runtime_error(std::string("remote: ") + e.what());
     default:
       throw e;
   }
@@ -111,7 +108,7 @@ void RemoteArchive::handshake(bool reopening) {
   }
   // OPEN: prime the staged source from the reply — or, on a reconnect,
   // insist the server still exports the identical archive.  A mismatch is
-  // not a transient fault: the mirror reader's residency would be priced
+  // not a transient fault: the local reader's residency would be priced
   // against bytes the server no longer serves.
   {
     ByteWriter w;
@@ -183,84 +180,56 @@ Frame RemoteArchive::expect_reply(Op expect) {
   return std::move(*f);
 }
 
-ExecReply RemoteArchive::execute_remote(const RetrievalPlan& p) {
-  ByteWriter w;
-  w.u32(open_id_);
-  w.u64(p.epoch);
-  write_request(w, p.request);
-  w.varint(p.bytes_new);
-  w.varint(p.segments.size());
-  ch_->send(Op::kExecute, w);
+void RemoteArchive::fetch(std::span<const SegmentId> ids) {
+  std::vector<std::uint64_t> keys;
+  keys.reserve(ids.size());
+  for (const SegmentId& id : ids) keys.push_back(id.key(src_.version_));
+  std::sort(keys.begin(), keys.end());
+  src_.staged_.clear();  // whatever an interrupted attempt left behind
   last_payload_bytes_ = 0;
-  while (true) {
+  queue_fetch(*ch_, open_id_, keys);
+  ch_->flush();
+  // The server answers with one SEGMENT per key, in key order, then
+  // FETCH_OK; anything else is protocol drift.
+  for (std::size_t next = 0;;) {
     std::optional<Frame> got = ch_->recv();
     if (!got) {
       throw WireError(WireError::Kind::kClosed,
-                      "server closed the connection mid-execute");
+                      "server closed the connection mid-fetch");
     }
-    Frame f = std::move(*got);
+    const Frame& f = *got;
     if (f.is(Op::kError)) {
       ByteReader r({f.body.data(), f.body.size()});
       throw_mapped(read_error(r));
     }
-    if (!f.is(Op::kSegment) && !f.is(Op::kExecuteOk)) {
+    if (f.is(Op::kFetchOk) && next == keys.size() && f.body.empty()) return;
+    if (!f.is(Op::kSegment)) {
       throw WireError(WireError::Kind::kProtocol,
                       "unexpected reply opcode " + std::to_string(f.op));
     }
-    if (f.is(Op::kSegment)) {
-      ByteReader r({f.body.data(), f.body.size()});
-      const std::uint64_t key = r.u64();
-      auto payload = r.bytes(r.remaining());
-      // Wire trust boundary: verify against the OPEN checksum column before
-      // the payload can reach the staging area (and the decoder).
-      auto check = src_.checks_.find(key);
-      if (check != src_.checks_.end()) {
-        const std::uint64_t actual = checksum64(payload.data(), payload.size());
-        if (actual != check->second) {
-          throw IntegrityError(SegmentId::from_key(key, src_.version_),
-                               check->second, actual,
-                               IntegrityError::Layer::kWire);
-        }
-      }
-      last_payload_bytes_ += payload.size();
-      wire_payload_bytes_ += payload.size();
-      src_.stage(key, Bytes(payload.begin(), payload.end()));
-      continue;
-    }
     ByteReader r({f.body.data(), f.body.size()});
-    ExecReply rep;
-    rep.bytes_new = r.varint();
-    rep.bytes_total = r.varint();
-    rep.guaranteed_error = r.f64();
-    rep.bitrate = r.f64();
-    return rep;
+    const std::uint64_t key = r.u64();
+    if (next == keys.size() || key != keys[next]) {
+      throw WireError(WireError::Kind::kProtocol,
+                      "SEGMENT frame for a key out of the requested order");
+    }
+    ++next;
+    auto payload = r.bytes(r.remaining());
+    // Wire trust boundary: verify against the OPEN checksum column before
+    // the payload can reach the staging area (and the decoder).
+    auto check = src_.checks_.find(key);
+    if (check != src_.checks_.end()) {
+      const std::uint64_t actual = checksum64(payload.data(), payload.size());
+      if (actual != check->second) {
+        throw IntegrityError(SegmentId::from_key(key, src_.version_),
+                             check->second, actual,
+                             IntegrityError::Layer::kWire);
+      }
+    }
+    last_payload_bytes_ += payload.size();
+    wire_payload_bytes_ += payload.size();
+    src_.stage(key, Bytes(payload.begin(), payload.end()));
   }
-}
-
-ResumeReply RemoteArchive::resume_remote(const std::vector<Request>& history) {
-  if (history.size() > kMaxResumeRequests) {
-    throw std::runtime_error(
-        "remote: resume history exceeds the protocol cap of " +
-        std::to_string(kMaxResumeRequests) + " requests");
-  }
-  ByteWriter w;
-  w.u32(open_id_);
-  w.varint(history.size());
-  for (const Request& req : history) write_request(w, req);
-  if (w.buffer().size() + 1 > kMaxRequestFrameBytes) {
-    throw std::runtime_error(
-        "remote: resume history exceeds the request frame cap");
-  }
-  ch_->send(Op::kResume, w);
-  Frame f = expect_reply(Op::kResumeOk);
-  ByteReader r({f.body.data(), f.body.size()});
-  ResumeReply rep;
-  rep.epoch = r.varint();
-  rep.bytes_used = r.varint();
-  if (!r.at_end()) {
-    throw WireError(WireError::Kind::kProtocol, "trailing bytes in RESUME_OK");
-  }
-  return rep;
 }
 
 ServeStats RemoteArchive::stat() {
@@ -281,16 +250,6 @@ void RemoteArchive::close() {
 // ---- RemoteReader ---------------------------------------------------------
 
 template <typename T>
-void RemoteReader<T>::check_poisoned() const {
-  if (poisoned_) {
-    throw std::logic_error(
-        "remote reader is poisoned: a previous execute() diverged from the "
-        "server after its session advanced; reconnect with a fresh "
-        "RemoteReader");
-  }
-}
-
-template <typename T>
 void RemoteReader<T>::backoff(int attempt) {
   std::uint64_t ms = policy_.backoff_base_ms;
   for (int k = 1; k < attempt && ms < policy_.backoff_max_ms; ++k) ms *= 2;
@@ -303,89 +262,36 @@ void RemoteReader<T>::backoff(int attempt) {
 }
 
 template <typename T>
-void RemoteReader<T>::recover_connection() {
-  archive_.reconnect();
-  const ResumeReply rep = archive_.resume_remote(history_);
-  if (rep.epoch != reader_.epoch()) {
-    throw std::runtime_error(
-        "remote: resumed session epoch disagrees with the local mirror");
-  }
-  ++recoveries_;
-}
-
-template <typename T>
-template <typename F>
-auto RemoteReader<T>::with_recovery(F&& op) -> decltype(op()) {
-  int attempt = 0;
-  bool healthy = true;
-  while (true) {
-    try {
-      if (!healthy) {
-        recover_connection();
-        healthy = true;
-      }
-      return op();
-    } catch (const WireError& e) {
-      if (e.kind() == WireError::Kind::kProtocol ||
-          ++attempt >= policy_.max_attempts ||
-          recoveries_ >= policy_.recovery_budget) {
-        throw;
-      }
-      ++retries_;
-      healthy = false;
-      backoff(attempt);
-    } catch (const IntegrityError& e) {
-      // Only wire-layer corruption is plausibly transient (a flipped frame);
-      // storage/cache corruption would just reproduce on retry.
-      if (e.layer() != IntegrityError::Layer::kWire ||
-          ++attempt >= policy_.max_attempts ||
-          recoveries_ >= policy_.recovery_budget) {
-        throw;
-      }
-      ++retries_;
-      healthy = false;
-      backoff(attempt);
-    }
-  }
-}
-
-template <typename T>
-RetrievalPlan RemoteReader<T>::plan(const Request& req) {
-  check_poisoned();
-  return reader_.plan(req);
-}
-
-template <typename T>
 RetrievalStats RemoteReader<T>::execute(const RetrievalPlan& p) {
-  check_poisoned();
   if (p.epoch != reader_.epoch()) {
     throw std::logic_error(
         "execute: stale plan (the reader advanced since it was made)");
   }
-  // A recovery rebuilds the server session at this same epoch, so the
-  // retried EXECUTE is simply the same frame again.
-  const ExecReply rep =
-      with_recovery([&] { return archive_.execute_remote(p); });
-  // From here the server session has advanced and its staged payloads are
-  // consumed.  If the local mirror cannot follow — the decode throws, or the
-  // accounting cross-check fails — the two sides are permanently
-  // desynchronized with no recovery on this connection, so poison the reader
-  // and make every later plan/execute fail fast instead of shipping plans
-  // priced against a state the server no longer holds.
-  try {
-    RetrievalStats st = reader_.execute(p);
-    if (st.bytes_new != rep.bytes_new) {
-      throw std::runtime_error(
-          "remote: execution accounting disagrees with the server");
+  // The server keeps nothing between FETCHes, so recovering from a
+  // transient failure is a reconnect and the same FETCH again.  A protocol
+  // error, storage- or cache-layer corruption (it would only reproduce) and
+  // the last allowed attempt propagate.
+  for (int attempt = 1;; ++attempt) {
+    const auto exhausted = [&] {
+      return attempt >= policy_.max_attempts ||
+             recoveries_ >= policy_.recovery_budget;
+    };
+    try {
+      if (attempt > 1) {
+        archive_.reconnect();
+        ++recoveries_;
+      }
+      archive_.fetch(p.segments);
+      break;
+    } catch (const WireError& e) {
+      if (e.kind() == WireError::Kind::kProtocol || exhausted()) throw;
+    } catch (const IntegrityError& e) {
+      if (e.layer() != IntegrityError::Layer::kWire || exhausted()) throw;
     }
-    // Acknowledged on both ends: this request is now part of the state a
-    // RESUME replay must rebuild.
-    history_.push_back(p.request);
-    return st;
-  } catch (...) {
-    poisoned_ = true;
-    throw;
+    ++retries_;
+    backoff(attempt);
   }
+  return reader_.execute(p);
 }
 
 template class RemoteReader<float>;

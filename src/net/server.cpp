@@ -3,8 +3,9 @@
 #include <array>
 #include <chrono>
 #include <map>
+#include <optional>
+#include <utility>
 
-#include "core/header.hpp"
 #include "serve/session.hpp"
 
 namespace ipcomp::net {
@@ -28,56 +29,31 @@ struct Server::Counters {
 
 namespace {
 
-/// Type-erased serve::Session so one connection handler can hold float and
-/// double archives alike; the server only plans, fetches and acknowledges —
-/// it never touches decoded values, so the element type stays behind this
-/// interface.
-class SessionAny {
- public:
-  virtual ~SessionAny() = default;
-  virtual RetrievalPlan plan(const Request& req) const = 0;
-  virtual std::vector<Bytes> fetch_for_remote(const RetrievalPlan& p,
-                                              RetrievalStats& out) = 0;
-  virtual std::uint64_t epoch() const = 0;
-  virtual std::uint64_t bytes_used() const = 0;
-};
-
-template <typename T>
-class SessionOf final : public SessionAny {
- public:
-  SessionOf(std::shared_ptr<ArchiveHandle> handle, std::uint64_t quota)
-      : session_(std::move(handle), quota) {}
-  RetrievalPlan plan(const Request& req) const override {
-    return session_.plan(req);
-  }
-  std::vector<Bytes> fetch_for_remote(const RetrievalPlan& p,
-                                      RetrievalStats& out) override {
-    return session_.fetch_for_remote(p, out);
-  }
-  std::uint64_t epoch() const override { return session_.epoch(); }
-  std::uint64_t bytes_used() const override { return session_.bytes_used(); }
-
- private:
-  Session<T> session_;
-};
-
-std::unique_ptr<SessionAny> make_session(std::shared_ptr<ArchiveHandle> handle,
-                                         std::uint64_t quota) {
-  const Header h = Header::parse(handle->header_bytes());
-  if (h.dtype == DataType::kFloat32) {
-    return std::make_unique<SessionOf<float>>(std::move(handle), quota);
-  }
-  return std::make_unique<SessionOf<double>>(std::move(handle), quota);
-}
-
-/// An EXECUTE reply leaves in writes of about this size: large enough that a
+/// A FETCH reply leaves in writes of about this size: large enough that a
 /// refinement costs a few syscalls, small enough to bound the batch buffer
 /// and keep the client's socket draining.
 constexpr std::size_t kReplyBatchBytes = std::size_t{256} << 10;
 
+/// One OPEN on a connection: the shared archive plus this open's own
+/// SessionSource, whose byte ledger is the open's quota ledger.
 struct OpenState {
+  OpenState(std::shared_ptr<ArchiveHandle> h, std::size_t table_size)
+      : handle(h), src(std::move(h)), n_segments(table_size) {}
   std::shared_ptr<ArchiveHandle> handle;
-  std::unique_ptr<SessionAny> session;
+  SessionSource src;
+  std::size_t n_segments;  // segment-table size, the bound on one FETCH
+  bool open_cost_charged = false;
+};
+
+/// The FETCH frames of one key list collected so far.  The first problem
+/// found is kept and reported once, after the chain's last frame, so every
+/// FETCH draws exactly one reply however many frames it spans.
+struct PendingFetch {
+  bool active = false;
+  std::uint32_t open_id = 0;
+  std::vector<SegmentId> ids;
+  std::uint64_t last_key = 0;  // of ids.back(), when ids is not empty
+  std::optional<RemoteError> error;
 };
 
 /// Registers a live connection's socket for forced shutdown during drain;
@@ -109,6 +85,7 @@ struct Server::ConnState {
   bool hello_done = false;
   std::uint32_t next_open_id = 1;
   std::map<std::uint32_t, OpenState> opens;
+  PendingFetch fetch;
 };
 
 Server::Server(ServerConfig cfg)
@@ -345,6 +322,12 @@ bool Server::handle_frame(FrameChannel& ch, ConnState& st, const Frame& f) {
     send_error(ch, ErrCode::kBadSequence, "first frame must be HELLO");
     return false;
   }
+  if (st.fetch.active && !f.is(Op::kFetch)) {
+    // Answering this frame would interleave its reply with the pending
+    // FETCH's; the client broke the sequence, so the connection ends.
+    send_error(ch, ErrCode::kBadSequence, "frame inside an unfinished FETCH");
+    return false;
+  }
 
   switch (static_cast<Op>(f.op)) {
     case Op::kHello: {
@@ -371,10 +354,9 @@ bool Server::handle_frame(FrameChannel& ch, ConnState& st, const Frame& f) {
                    cfg_.max_opens_per_connection);
         return true;
       }
-      OpenState os;
+      std::shared_ptr<ArchiveHandle> handle;
       try {
-        os.handle = open_export(name);
-        os.session = make_session(os.handle, cfg_.session_quota);
+        handle = open_export(name);
       } catch (const RemoteError& e) {
         send_error(ch, e.code(), e.what(), e.a(), e.b());
         return true;
@@ -382,13 +364,13 @@ bool Server::handle_frame(FrameChannel& ch, ConnState& st, const Frame& f) {
         send_error(ch, ErrCode::kInternal, e.what());
         return true;
       }
-      const std::vector<SegmentId> ids = os.handle->segment_ids();
+      const std::vector<SegmentId> ids = handle->segment_ids();
       // Reject un-streamable archives here, while rejection is still a typed
-      // ERROR: once EXECUTE starts streaming SEGMENT frames the session has
+      // ERROR: once FETCH starts streaming SEGMENT frames the open has
       // already been charged and an oversized payload could only drop the
       // connection mid-reply.
       for (const SegmentId& id : ids) {
-        const std::size_t size = os.handle->segment_size(id);
+        const std::size_t size = handle->segment_size(id);
         if (size > kMaxSegmentPayloadBytes) {
           send_error(ch, ErrCode::kInternal,
                      "archive segment exceeds the wire frame cap", size,
@@ -399,161 +381,31 @@ bool Server::handle_frame(FrameChannel& ch, ConnState& st, const Frame& f) {
       const std::uint32_t open_id = st.next_open_id++;
       ByteWriter w;
       w.u32(open_id);
-      w.u32(os.handle->version());
-      w.varint(os.handle->total_size());
-      w.varint(os.handle->open_cost());
-      const Bytes& header = os.handle->header_bytes();
+      w.u32(handle->version());
+      w.varint(handle->total_size());
+      w.varint(handle->open_cost());
+      const Bytes& header = handle->header_bytes();
       w.varint(header.size());
       w.bytes({header.data(), header.size()});
       w.varint(ids.size());
       // v4 archives carry a checksum column (all-or-nothing per archive);
       // the client verifies every SEGMENT payload against it.
       const bool has_checksums =
-          !ids.empty() && os.handle->segment_checksum(ids.front()).has_value();
+          !ids.empty() && handle->segment_checksum(ids.front()).has_value();
       w.u8(has_checksums ? 1 : 0);
       for (const SegmentId& id : ids) {
-        w.u64(id.key(os.handle->version()));
-        w.varint(os.handle->segment_size(id));
-        if (has_checksums) w.u64(*os.handle->segment_checksum(id));
+        w.u64(id.key(handle->version()));
+        w.varint(handle->segment_size(id));
+        if (has_checksums) w.u64(*handle->segment_checksum(id));
       }
-      st.opens.emplace(open_id, std::move(os));
+      st.opens.try_emplace(open_id, std::move(handle), ids.size());
       send_frame(ch, Op::kOpenOk, w);
       return true;
     }
 
-    case Op::kExecute: {
-      const std::uint32_t open_id = r.u32();
-      const std::uint64_t epoch = r.u64();
-      const Request req = read_request(r);
-      const std::uint64_t bytes_new = r.varint();
-      const std::uint64_t n_segments = r.varint();
-      require_end();
-      auto it = st.opens.find(open_id);
-      if (it == st.opens.end()) {
-        send_error(ch, ErrCode::kBadSequence, "unknown open id", open_id);
-        return true;
-      }
-      OpenState& os = it->second;
-      if (epoch != os.session->epoch()) {
-        send_error(ch, ErrCode::kStalePlan,
-                   "client epoch does not match the session",
-                   os.session->epoch(), epoch);
-        return true;
-      }
-      // Plan in place with the client's arithmetic; stream only when both
-      // sides priced the same plan.
-      RetrievalPlan plan;
-      try {
-        plan = os.session->plan(req);
-      } catch (const std::exception& e) {
-        send_error(ch, ErrCode::kBadRequest, e.what());
-        return true;
-      }
-      if (plan.bytes_new != bytes_new || plan.segments.size() != n_segments) {
-        send_error(ch, ErrCode::kPriceDrift,
-                   "server plan disagrees with the client's price (config or "
-                   "version drift)",
-                   plan.bytes_new, bytes_new);
-        return true;
-      }
-      RetrievalStats stats;
-      std::vector<Bytes> payloads;
-      try {
-        payloads = os.session->fetch_for_remote(plan, stats);
-      } catch (const QuotaExceeded& e) {
-        counters_->quota_rejections.fetch_add(1, std::memory_order_relaxed);
-        send_error(ch, ErrCode::kQuotaExceeded, e.what(), e.needed(),
-                   e.remaining());
-        return true;
-      } catch (const std::logic_error& e) {
-        send_error(ch, ErrCode::kStalePlan, e.what());
-        return true;
-      } catch (const std::exception& e) {
-        send_error(ch, ErrCode::kInternal, e.what());
-        return true;
-      }
-      // The reply stream goes out in batches; counters move as each batch
-      // reaches the socket, exactly as they would frame by frame.
-      std::uint64_t frames = 0;
-      std::uint64_t payload_bytes = 0;
-      const auto flush = [&] {
-        ch.flush();
-        counters_->frames_out.fetch_add(frames, std::memory_order_relaxed);
-        counters_->payload_bytes_sent.fetch_add(payload_bytes,
-                                                std::memory_order_relaxed);
-        frames = payload_bytes = 0;
-      };
-      const std::uint32_t ver = os.handle->version();
-      for (std::size_t i = 0; i < plan.segments.size(); ++i) {
-        ByteWriter key;
-        key.u64(plan.segments[i].key(ver));
-        ch.queue(Op::kSegment, {key.buffer(), payloads[i]});
-        ++frames;
-        payload_bytes += payloads[i].size();
-        if (ch.queued() >= kReplyBatchBytes) flush();
-      }
-      ByteWriter w;
-      w.varint(stats.bytes_new);
-      w.varint(stats.bytes_total);
-      w.f64(stats.guaranteed_error);
-      w.f64(stats.bitrate);
-      ch.queue(Op::kExecuteOk, {w.buffer()});
-      ++frames;
-      flush();
+    case Op::kFetch:
+      fetch(ch, st, r);
       return true;
-    }
-
-    case Op::kResume: {
-      const std::uint32_t open_id = r.u32();
-      const std::uint64_t n = r.varint();
-      if (n > kMaxResumeRequests) {
-        send_error(ch, ErrCode::kBadRequest,
-                   "resume history exceeds the protocol cap", n,
-                   kMaxResumeRequests);
-        return true;
-      }
-      std::vector<Request> history;
-      history.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) history.push_back(read_request(r));
-      require_end();
-      auto it = st.opens.find(open_id);
-      if (it == st.opens.end()) {
-        send_error(ch, ErrCode::kBadSequence, "unknown open id", open_id);
-        return true;
-      }
-      OpenState& os = it->second;
-      // Rebuild the session from scratch and replay the client's
-      // acknowledged history through the exact plan/fetch path the original
-      // requests took: residency, epoch and the quota ledger land where the
-      // dead connection left them, and the shared cache makes the re-fetch
-      // cheap.  Payloads are discarded — the client already holds them.
-      std::unique_ptr<SessionAny> fresh;
-      try {
-        fresh = make_session(os.handle, cfg_.session_quota);
-        for (const Request& req : history) {
-          const RetrievalPlan plan = fresh->plan(req);
-          RetrievalStats ignored;
-          fresh->fetch_for_remote(plan, ignored);
-        }
-      } catch (const QuotaExceeded& e) {
-        counters_->quota_rejections.fetch_add(1, std::memory_order_relaxed);
-        send_error(ch, ErrCode::kQuotaExceeded, e.what(), e.needed(),
-                   e.remaining());
-        return true;
-      } catch (const std::logic_error& e) {
-        send_error(ch, ErrCode::kStalePlan, e.what());
-        return true;
-      } catch (const std::exception& e) {
-        send_error(ch, ErrCode::kBadRequest, e.what());
-        return true;
-      }
-      os.session = std::move(fresh);
-      ByteWriter w;
-      w.varint(os.session->epoch());
-      w.varint(os.session->bytes_used());
-      send_frame(ch, Op::kResumeOk, w);
-      return true;
-    }
 
     case Op::kStat: {
       require_end();
@@ -579,6 +431,105 @@ bool Server::handle_frame(FrameChannel& ch, ConnState& st, const Frame& f) {
                  "unknown opcode " + std::to_string(f.op), f.op);
       return true;
   }
+}
+
+void Server::fetch(FrameChannel& ch, ConnState& st, ByteReader& r) {
+  const std::uint32_t open_id = r.u32();
+  const std::uint8_t more = r.u8();
+  if (more > 1) throw std::runtime_error("wire: bad FETCH continuation flag");
+  const std::uint64_t n = r.varint();
+  PendingFetch& pf = st.fetch;
+  if (!pf.active) {
+    pf.active = true;
+    pf.open_id = open_id;
+  }
+  const auto it = st.opens.find(open_id);
+  if (pf.error) {
+    // The chain already failed: its remaining keys are not read.
+  } else if (it == st.opens.end() || open_id != pf.open_id) {
+    pf.error.emplace(ErrCode::kBadSequence, "unknown open id", open_id, 0);
+  } else if (n > it->second.n_segments - pf.ids.size()) {
+    pf.error.emplace(ErrCode::kBadRequest,
+                     "FETCH lists more keys than the segment table holds",
+                     pf.ids.size() + n, it->second.n_segments);
+  } else {
+    const ArchiveHandle& h = *it->second.handle;
+    for (std::uint64_t i = 0; i < n && !pf.error; ++i) {
+      const std::uint64_t key = pf.last_key + r.varint();
+      const SegmentId id = SegmentId::from_key(key, h.version());
+      if (!pf.ids.empty() && key <= pf.last_key) {
+        pf.error.emplace(ErrCode::kBadRequest, "FETCH keys must ascend", key,
+                         pf.last_key);
+      } else if (!h.has_segment(id)) {
+        pf.error.emplace(ErrCode::kBadRequest,
+                         "FETCH names a segment the archive does not hold",
+                         key, 0);
+      } else {
+        pf.ids.push_back(id);
+        pf.last_key = key;
+      }
+    }
+    if (!pf.error && !r.at_end()) {
+      throw std::runtime_error("wire: trailing bytes in frame");
+    }
+  }
+  if (more != 0) return;  // the rest of the list follows
+  const PendingFetch done = std::exchange(pf, PendingFetch{});
+  if (done.error) {
+    send_error(ch, done.error->code(), done.error->what(), done.error->a(),
+               done.error->b());
+    return;
+  }
+
+  // Admission: the whole list is priced from the index (plus the open cost
+  // on the open's first FETCH) and admitted or rejected before any read.
+  OpenState& os = it->second;
+  std::uint64_t price = os.open_cost_charged ? 0 : os.handle->open_cost();
+  for (const SegmentId& id : done.ids) price += os.handle->segment_size(id);
+  const std::uint64_t used = os.src.stats().bytes_read;
+  const std::uint64_t quota = cfg_.session_quota;
+  const std::uint64_t remaining = quota > used ? quota - used : 0;
+  if (quota != 0 && price > remaining) {
+    counters_->quota_rejections.fetch_add(1, std::memory_order_relaxed);
+    send_error(ch, ErrCode::kQuotaExceeded,
+               QuotaExceeded(price, remaining).what(), price, remaining);
+    return;
+  }
+  std::vector<Bytes> payloads;
+  try {
+    payloads = os.src.read_many(done.ids);
+  } catch (const std::exception& e) {
+    send_error(ch, ErrCode::kInternal, e.what());
+    return;
+  }
+  if (!os.open_cost_charged) {
+    os.src.header();  // charges the open cost to this open's ledger
+    os.open_cost_charged = true;
+  }
+
+  // The reply stream goes out in batches; counters move as each batch
+  // reaches the socket, exactly as they would frame by frame.
+  std::uint64_t frames = 0;
+  std::uint64_t payload_bytes = 0;
+  const auto flush = [&] {
+    ch.flush();
+    counters_->frames_out.fetch_add(frames, std::memory_order_relaxed);
+    counters_->payload_bytes_sent.fetch_add(payload_bytes,
+                                            std::memory_order_relaxed);
+    frames = payload_bytes = 0;
+  };
+  const std::uint32_t ver = os.handle->version();
+  for (std::size_t i = 0; i < done.ids.size(); ++i) {
+    ByteWriter key;
+    key.u64(done.ids[i].key(ver));
+    ch.queue(Op::kSegment, {key.buffer(), payloads[i]});
+    ++frames;
+    payload_bytes += payloads[i].size();
+    if (ch.queued() >= kReplyBatchBytes) flush();
+  }
+  ch.queue(Op::kFetchOk, {});
+  ++frames;
+  flush();
 }
 
 }  // namespace ipcomp::net

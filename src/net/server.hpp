@@ -2,16 +2,15 @@
 //
 // A Server listens on TCP or a Unix-domain socket and speaks the framed
 // protocol with any number of clients over a pool of acceptor/handler
-// threads.  Each connection owns per-archive serve::Sessions over the shared
-// ArchiveSet tier, so everything the in-process serving layer provides —
-// plan-admission byte quotas, the cross-archive segment LRU cache, pooled
-// deduplicated physical reads — applies to remote clients identically.  The
-// server never decodes: EXECUTE plans the client's request against the
-// session, checks the client's epoch and price, fetches the planned segments
-// through the session's cache-first source, streams the still-compressed
-// payloads to the client in batched writes, and acknowledges the plan so the
-// session's residency (and therefore the *next* plan's pricing) advances
-// exactly as if the client were local.
+// threads.  Every OPEN reads through the shared ArchiveSet tier, so the
+// cross-archive segment LRU cache and pooled deduplicated physical reads
+// apply to remote clients exactly as to in-process sessions.  The server
+// holds no planner and never decodes: clients plan locally and FETCH
+// segments by key.  Per open it keeps only the archive handle and a
+// SessionSource whose byte ledger meters the open's quota; a FETCH is
+// validated against the index, admitted whole against that quota before
+// any read, read cache-first, and streamed to the client still compressed
+// in batched writes.
 //
 // Archives are exported by name (export_file / export_memory) before
 // start(); OPEN resolves only exported names — a remote peer can never name
@@ -59,7 +58,9 @@ struct ServerConfig {
   /// id.  Soak-testing knob (`ipc serve --fault-seed`); injected fault
   /// counts surface as ServeStats::faults_injected.
   std::uint64_t fault_seed = 0;
-  /// Byte quota for each (connection, archive) session; 0 = unlimited.
+  /// Byte quota for each OPEN (one archive on one connection), charged per
+  /// FETCH from the index sizes plus the open cost; 0 = unlimited.  A
+  /// reconnect OPENs afresh and so starts a fresh ledger.
   std::uint64_t session_quota = 0;
   /// OPENs one connection may hold at once.
   std::size_t max_opens_per_connection = 8;
@@ -113,6 +114,9 @@ class Server {
   void worker_loop();
   void serve_connection(Socket sock);
   bool handle_frame(FrameChannel& ch, ConnState& st, const Frame& f);
+  /// One FETCH frame: collect its keys into the connection's pending list
+  /// and, after the chain's last frame, admit and stream the whole list.
+  void fetch(FrameChannel& ch, ConnState& st, ByteReader& r);
   /// Resolve an exported name to an opened handle (opening on first use).
   /// Throws RemoteError(kUnknownArchive) for unknown names.
   std::shared_ptr<ArchiveHandle> open_export(const std::string& name)

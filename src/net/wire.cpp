@@ -70,8 +70,8 @@ void set_option(const Socket& sock, int level, int opt, const char* name,
 }
 
 /// Request/reply traffic is latency-bound: without TCP_NODELAY a small
-/// frame written behind unacknowledged data sits in Nagle's buffer until
-/// the peer's delayed ACK fires.
+/// frame written behind data the peer has not yet ACKed sits in Nagle's
+/// buffer until the peer's delayed ACK fires.
 void set_nodelay(const Socket& sock) {
   const int one = 1;
   set_option(sock, IPPROTO_TCP, TCP_NODELAY, "TCP_NODELAY", &one, sizeof one);
@@ -378,66 +378,30 @@ std::optional<Frame> FrameChannel::recv() {
 
 // ---- body serialization ---------------------------------------------------
 
-namespace {
-// Request target tags on the wire.
-constexpr std::uint8_t kTargetFull = 0;
-constexpr std::uint8_t kTargetErrorBound = 1;
-constexpr std::uint8_t kTargetByteBudget = 2;
-constexpr std::uint8_t kTargetBitrate = 3;
-}  // namespace
-
-void write_request(ByteWriter& w, const Request& req) {
-  if (std::holds_alternative<Request::Full>(req.target)) {
-    w.u8(kTargetFull);
-  } else if (const auto* eb = std::get_if<Request::ErrorBound>(&req.target)) {
-    w.u8(kTargetErrorBound);
-    w.f64(eb->target);
-  } else if (const auto* bb = std::get_if<Request::ByteBudget>(&req.target)) {
-    w.u8(kTargetByteBudget);
-    w.varint(bb->budget);
-  } else {
-    w.u8(kTargetBitrate);
-    w.f64(std::get<Request::Bitrate>(req.target).bits_per_value);
-  }
-  w.u8(req.region.has_value() ? 1 : 0);
-  if (req.region) {
-    for (std::size_t i = 0; i < kMaxRank; ++i) w.varint(req.region->lo[i]);
-    for (std::size_t i = 0; i < kMaxRank; ++i) w.varint(req.region->hi[i]);
-  }
-}
-
-Request read_request(ByteReader& r) {
-  Request req;
-  switch (r.u8()) {
-    case kTargetFull:
-      req.target = Request::Full{};
-      break;
-    case kTargetErrorBound:
-      req.target = Request::ErrorBound{r.f64()};
-      break;
-    case kTargetByteBudget:
-      req.target = Request::ByteBudget{r.varint()};
-      break;
-    case kTargetBitrate:
-      req.target = Request::Bitrate{r.f64()};
-      break;
-    default:
-      throw std::runtime_error("wire: unknown request target tag");
-  }
-  switch (r.u8()) {
-    case 0:
-      break;
-    case 1: {
-      RegionBox box;
-      for (std::size_t i = 0; i < kMaxRank; ++i) box.lo[i] = r.varint();
-      for (std::size_t i = 0; i < kMaxRank; ++i) box.hi[i] = r.varint();
-      req.region = box;
-      break;
+void queue_fetch(FrameChannel& ch, std::uint32_t open_id,
+                 std::span<const std::uint64_t> keys) {
+  // Body room for the deltas: the cap minus the opcode byte, open_id, the
+  // more flag and a count varint (a frame holds < 2^21 keys: 3 bytes).
+  constexpr std::size_t kDeltaRoom = kMaxRequestFrameBytes - 1 - 4 - 1 - 3;
+  std::size_t i = 0;
+  std::uint64_t prev = 0;
+  do {
+    ByteWriter deltas;
+    std::size_t n = 0;
+    for (; i < keys.size(); ++i, ++n) {
+      const std::uint64_t delta = keys[i] - prev;
+      std::size_t len = 1;
+      for (std::uint64_t v = delta; v >= 0x80; v >>= 7) ++len;
+      if (deltas.buffer().size() + len > kDeltaRoom) break;
+      deltas.varint(delta);
+      prev = keys[i];
     }
-    default:
-      throw std::runtime_error("wire: bad region flag");
-  }
-  return req;
+    ByteWriter head;
+    head.u32(open_id);
+    head.u8(i < keys.size() ? 1 : 0);
+    head.varint(n);
+    ch.queue(Op::kFetch, {head.buffer(), deltas.buffer()});
+  } while (i < keys.size());
 }
 
 void write_serve_stats(ByteWriter& w, const ServeStats& s) {

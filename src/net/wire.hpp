@@ -12,17 +12,16 @@
 //   HELLO(version)        -> HELLO_OK(version)      must be the first frame
 //   OPEN(name)            -> OPEN_OK(open_id, archive version/size/open
 //                            cost, header bytes, segment table)
-//   EXECUTE(open_id,      -> SEGMENT(key, payload) ... per planned segment,
-//           epoch,           then EXECUTE_OK(stats).  The server plans the
-//           Request,         request itself and streams only when the epoch
-//           bytes_new,       matches its session (else STALE_PLAN) and its
-//           n_segments)      price matches the client's (else PRICE_DRIFT):
-//                            one round trip per refinement
-//   RESUME(open_id, n,    -> RESUME_OK(epoch, bytes_used)  replays a prior
-//          Request x n)      session's executed requests against a fresh
-//                            session WITHOUT streaming payloads — the
-//                            reconnect path of a self-healing client that
-//                            still holds the decoded state locally
+//   FETCH(open_id, more,  -> SEGMENT(key, payload) ... per key, ascending,
+//         n, key deltas)     then FETCH_OK.  The client plans locally and
+//                            names the segments it wants; the server checks
+//                            every key against the index, admits the whole
+//                            list against the open's byte quota, and
+//                            streams the payloads: one round trip per
+//                            refinement.  A list too long for one request
+//                            frame spans several FETCH frames, each but the
+//                            last with `more` set; the server answers once,
+//                            after the last.
 //   STAT()                -> STAT_OK(ServeStats)
 //   CLOSE(open_id)        -> CLOSE_OK()
 //   anything invalid      -> ERROR(code, message, a, b)
@@ -47,12 +46,12 @@
 #include <initializer_list>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/request.hpp"
 #include "io/bytes.hpp"
 #include "serve/cache.hpp"
 #include "util/fault.hpp"
@@ -64,53 +63,50 @@ namespace ipcomp::net {
 /// STAT_OK grew the fault-tolerance counters.
 /// v3: PLAN/PLAN_OK and plan tokens are gone; EXECUTE carries the epoch, the
 /// Request and the client's price, and the server plans it in place.
-inline constexpr std::uint32_t kWireVersion = 3;
+/// v4: EXECUTE and RESUME are gone; FETCH names segment keys, and the server
+/// holds no planner.
+inline constexpr std::uint32_t kWireVersion = 4;
 
 /// Hard cap on a frame a *client* accepts: segment payloads ride in single
 /// frames, so this bounds the largest single segment (256 MiB is far above
 /// any real base segment).
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{256} << 20;
-/// Hard cap on a frame a *server* accepts: requests are names + serialized
-/// Requests, all tiny, so the inbound cap is much tighter — a forged length
-/// can make the server allocate at most this much.
+/// Hard cap on a frame a *server* accepts: requests are names and key
+/// lists (a longer list spans several FETCH frames), so the inbound cap is
+/// much tighter — a forged length can make the server allocate at most this
+/// much per frame.
 inline constexpr std::size_t kMaxRequestFrameBytes = std::size_t{64} << 10;
 /// Largest segment payload a SEGMENT frame can carry: the client-side frame
 /// cap minus the opcode byte and the u64 segment key.  The server checks
 /// every exported segment against this at OPEN time, so an archive that
 /// cannot be streamed is a typed ERROR up front — never a connection dropped
-/// mid-EXECUTE after the session was already charged.
+/// mid-FETCH after the open was already charged.
 inline constexpr std::size_t kMaxSegmentPayloadBytes = kMaxFrameBytes - 9;
 
 enum class Op : std::uint8_t {
-  // Client -> server.
+  // Client -> server.  0x03 (v2's PLAN), 0x04 (v3's EXECUTE) and 0x07 (v3's
+  // RESUME) are retired: a v4 server answers them with UNKNOWN_OPCODE.
   kHello = 0x01,
   kOpen = 0x02,
-  // 0x03 was v2's PLAN; a v3 server answers it with UNKNOWN_OPCODE.
-  kExecute = 0x04,
   kStat = 0x05,
   kClose = 0x06,
-  kResume = 0x07,
-  // Server -> client.
+  kFetch = 0x08,
+  // Server -> client.  0x85 (EXECUTE_OK) and 0x88 (RESUME_OK) are retired.
   kHelloOk = 0x81,
   kOpenOk = 0x82,
   kSegment = 0x84,
-  kExecuteOk = 0x85,
   kStatOk = 0x86,
   kCloseOk = 0x87,
-  kResumeOk = 0x88,
+  kFetchOk = 0x89,
   kError = 0xFF,
 };
 
 /// Request opcodes in stats-slot order (ServeStats::frames_by_opcode).
-inline constexpr std::array<Op, 6> kRequestOps = {
-    Op::kHello, Op::kOpen, Op::kExecute, Op::kStat, Op::kClose, Op::kResume};
+inline constexpr std::array<Op, 5> kRequestOps = {
+    Op::kHello, Op::kOpen, Op::kFetch, Op::kStat, Op::kClose};
 inline constexpr std::size_t kRequestOpCount = kRequestOps.size();
-/// Most executed requests one RESUME may replay; a longer history cannot be
-/// resumed (the client falls back to failing fast) and a forged count cannot
-/// drive server-side work.
-inline constexpr std::size_t kMaxResumeRequests = 1024;
 /// Stats slot for a raw request opcode: its index in kRequestOps,
-/// kRequestOpCount for anything unknown (the retired PLAN included).
+/// kRequestOpCount for anything unknown (the retired opcodes included).
 inline std::size_t op_slot(std::uint8_t raw) {
   for (std::size_t i = 0; i < kRequestOpCount; ++i) {
     if (raw == static_cast<std::uint8_t>(kRequestOps[i])) return i;
@@ -121,17 +117,17 @@ inline std::size_t op_slot(std::uint8_t raw) {
 enum class ErrCode : std::uint16_t {
   kBadFrame = 1,       // malformed frame or body (connection closes)
   kBadVersion = 2,     // HELLO version mismatch (connection closes)
-  kBadSequence = 3,    // frame before HELLO, or an unknown open_id
+  kBadSequence = 3,    // frame before HELLO, an unknown open_id, or another
+                       // frame inside an unfinished FETCH
   kUnknownOpcode = 4,  // opcode the server does not speak (connection stays)
   kUnknownArchive = 5, // OPEN of a name the server does not export
-  kBadRequest = 6,     // Request that fails validation (e.g. bad region)
-  kStalePlan = 7,      // EXECUTE epoch does not match the session
-  // 8 was v2's unknown-token error; retired with the tokens, never reused.
-  kQuotaExceeded = 9,  // plan admission failed; a = needed, b = remaining
+  kBadRequest = 6,     // FETCH key not in the index, or keys not ascending
+  // 7 (v3's stale-plan error), 8 (v2's unknown-token error) and 12 (v3's
+  // price-drift error) are retired with the server-side planner; never
+  // reused.
+  kQuotaExceeded = 9,  // FETCH admission failed; a = needed, b = remaining
   kTooManyArchives = 10,  // per-connection open limit reached
   kInternal = 11,      // I/O or other server-side failure
-  kPriceDrift = 12,    // EXECUTE price disagrees with the server's plan;
-                       // a = server bytes_new, b = client bytes_new
 };
 
 /// One received frame: opcode byte (possibly unknown) + body bytes.
@@ -328,10 +324,14 @@ class FrameChannel {
 
 // ---- body serialization ---------------------------------------------------
 
-/// Request <-> bytes (target tag + value, optional region box).  Reading is
-/// strict: unknown tags and truncated bodies throw std::runtime_error.
-void write_request(ByteWriter& w, const Request& req);
-Request read_request(ByteReader& r);
+/// FETCH body: `u32 open_id | u8 more | varint n | n varint key deltas`.
+/// Keys ascend strictly across the whole FETCH: its first key is coded as
+/// the delta from 0, every later one as the delta (>= 1) from the key before
+/// it, also across frames.  Queues (does not flush) the FETCH frames for the
+/// ascending `keys` on `ch`, as many as the request-frame cap needs and at
+/// least one, every frame but the last with `more` set.
+void queue_fetch(FrameChannel& ch, std::uint32_t open_id,
+                 std::span<const std::uint64_t> keys);
 
 /// Server-wide counters returned by STAT and printed by the CLI.
 struct ServeStats {
@@ -340,8 +340,8 @@ struct ServeStats {
   std::uint64_t idle_reaped = 0;
   std::uint64_t frames_in = 0;
   std::uint64_t frames_out = 0;
-  /// Per request opcode (op_slot order: HELLO, OPEN, EXECUTE, STAT, CLOSE,
-  /// RESUME, unknown).
+  /// Per request opcode (op_slot order: HELLO, OPEN, FETCH, STAT, CLOSE,
+  /// unknown).
   std::vector<std::uint64_t> frames_by_opcode =
       std::vector<std::uint64_t>(kRequestOpCount + 1, 0);
   std::uint64_t wire_bytes_in = 0;

@@ -1,4 +1,7 @@
-// Per-client serving session: a ProgressiveReader over the shared tier.
+// Per-client serving session: a ProgressiveReader over the shared tier, for
+// in-process clients.  (The network daemon keeps no reader per client: its
+// clients plan and decode locally, and an OPEN there holds only a
+// SessionSource whose ledger meters the quota.)
 //
 // A Session is what one client holds: its own reader (resident planes,
 // reconstruction, request history) wired through a SessionSource into the
@@ -73,36 +76,6 @@ class Session {
 
   /// One-call retrieval with admission: execute(plan(req)).
   RetrievalStats retrieve(const Request& req) { return execute(plan(req)); }
-
-  /// Remote-serving path (net/server.hpp): admit `p` against the quota
-  /// exactly like execute(), fetch its segments through this session's
-  /// cache-first source, and advance the reader's planning residency
-  /// *without decoding* — the remote client owns reconstruction; the daemon
-  /// only needs the residency to price this client's next plan.  Returns the
-  /// raw payloads in plan order; `out` receives the stats execute() would
-  /// have reported.  A session that has served this path is a pricing
-  /// mirror: local execute()/retrieve() on it throw.
-  std::vector<Bytes> fetch_for_remote(const RetrievalPlan& p,
-                                      RetrievalStats& out) {
-    if (p.epoch != reader_.epoch()) {
-      // Checked before the fetch: a stale plan must not charge the session
-      // ledger for payloads whose residency is never acknowledged.
-      throw std::logic_error(
-          "fetch_for_remote: stale plan (the session advanced since plan() "
-          "ran)");
-    }
-    if (quota_ != 0 && p.bytes_new > quota_remaining()) {
-      throw QuotaExceeded(p.bytes_new, quota_remaining());
-    }
-    std::vector<Bytes> payloads = src_.read_many(p.segments);
-    out = reader_.acknowledge(p);
-    used_ += out.bytes_new;
-    return payloads;
-  }
-
-  /// Current reader state serial (remote plans carry it for staleness
-  /// detection before any byte moves).
-  std::uint64_t epoch() const { return reader_.epoch(); }
 
   const std::vector<T>& data() const { return reader_.data(); }
   const ProgressiveReader<T>& reader() const { return reader_; }

@@ -6,7 +6,7 @@
 // FaultySource wraps any SegmentSource to fault physical reads.  Because the
 // schedule keys off operation ordinals — not wall time or real signals —
 // the exact same failure sequence replays on every run with the same seed
-// and traffic, which is what turns "survives a connection reset mid-EXECUTE"
+// and traffic, which is what turns "survives a connection reset mid-FETCH"
 // from a prayer into a regression test (tests/test_net.cpp) and powers
 // `ipc serve --fault-seed`.
 //

@@ -65,7 +65,7 @@ std::vector<std::int64_t> decode_codes(std::span<const std::uint8_t> blob,
                                        std::size_t n) {
   Bytes raw = lzh_decompress(blob, lzh_stored_size(blob));
   ByteReader r({raw.data(), raw.size()});
-  auto lengths = deserialize_code_lengths(r);
+  auto lengths = deserialize_code_lengths(r, 2 * kRadius);
   HuffmanDecoder dec(lengths);
   std::size_t bits_size = r.varint();
   BitReader br(r.bytes(bits_size));

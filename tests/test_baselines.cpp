@@ -4,6 +4,7 @@
 #include "baselines/multi_fidelity.hpp"
 #include "baselines/residual.hpp"
 #include "baselines/sz3.hpp"
+#include "coding/lzh.hpp"
 #include "mgard/mgard.hpp"
 #include "test_util.hpp"
 #include "transform/zfp.hpp"
@@ -14,6 +15,18 @@ namespace {
 
 using testutil::linf;
 using testutil::smooth_field;
+
+/// A Huffman table whose varint alphabet (2^40) no compressor could have
+/// written, inside a valid LZH stream: the blob layout both baselines parse
+/// after their headers.
+Bytes forged_code_table_blob() {
+  ByteWriter w;
+  w.varint(std::uint64_t{1} << 40);  // alphabet size
+  w.varint(0);                       // used symbols
+  w.varint(0);                       // bitstream size
+  const Bytes raw = w.take();
+  return lzh_compress({raw.data(), raw.size()});
+}
 
 // ------------------------------------------------------------------- SZ3 --
 
@@ -59,6 +72,27 @@ TEST(Sz3, LinearInterpVariant) {
 }
 
 // ----------------------------------------------------------------- SZ3-M --
+
+// Forged SZ3 archives are typed errors, never an allocation sized by the
+// blob: a table alphabet other than 2 * radius, and a radius whose alphabet
+// no Huffman coder accepts.
+TEST(Sz3, ForgedCodeTableThrowsTyped) {
+  const Bytes table = forged_code_table_blob();
+  for (const std::uint64_t radius : {std::uint64_t{1} << 15,
+                                     std::uint64_t{1} << 40}) {
+    ByteWriter w;
+    w.u8(1);        // rank
+    w.varint(8);    // extent
+    w.f64(1e-3);    // eb
+    w.u8(0);        // interpolation kind
+    w.varint(radius);
+    w.varint(0);    // outliers
+    w.varint(table.size());
+    w.bytes(table);
+    EXPECT_THROW(Sz3Compressor().decompress(w.take()), std::runtime_error)
+        << "radius " << radius;
+  }
+}
 
 TEST(Sz3M, RetrievalPicksMatchingStage) {
   auto field = smooth_field(Dims{32, 32, 16}, 6, 0.05);
@@ -237,6 +271,18 @@ TEST(Sperr, CompressesSmoothData) {
 }
 
 // --------------------------------------------------------------- adapter --
+
+TEST(Sperr, ForgedCodeTableThrowsTyped) {
+  const Bytes table = forged_code_table_blob();
+  ByteWriter w;
+  w.u8(1);      // rank
+  w.varint(8);  // extent
+  w.f64(1e-3);  // eb
+  w.varint(1);  // wavelet levels
+  w.varint(table.size());
+  w.bytes(table);
+  EXPECT_THROW(SperrCompressor().decompress(w.take()), std::runtime_error);
+}
 
 TEST(Lineups, AllCompressorsRoundTrip) {
   auto field = smooth_field(Dims{20, 20, 20}, 21, 0.05);

@@ -270,6 +270,90 @@ void drain_replies(const net::Socket& sock) {
   }
 }
 
+/// Receive one frame and insist it is an ERROR; returns its code.
+net::ErrCode expect_error(net::FrameChannel& ch) {
+  std::optional<net::Frame> f = ch.recv();
+  if (!f.has_value() || !f->is(net::Op::kError)) {
+    ADD_FAILURE() << "expected an ERROR frame";
+    return net::ErrCode::kInternal;
+  }
+  ByteReader r({f->body.data(), f->body.size()});
+  return net::read_error(r).code();
+}
+
+/// The connection still answers: STAT draws STAT_OK.
+void expect_usable(net::FrameChannel& ch) {
+  ch.send(net::Op::kStat, Bytes{});
+  std::optional<net::Frame> f = ch.recv();
+  EXPECT_TRUE(f.has_value() && f->is(net::Op::kStatOk));
+}
+
+/// A FETCH frame body: open id, the more-follows flag, a key count and the
+/// raw key deltas (which need not match the count).
+Bytes fetch_body(std::uint32_t open_id, bool more, std::uint64_t n,
+                 const std::vector<std::uint64_t>& deltas) {
+  ByteWriter w;
+  w.u32(open_id);
+  w.u8(more ? 1 : 0);
+  w.varint(n);
+  for (std::uint64_t d : deltas) w.varint(d);
+  return w.take();
+}
+
+/// Every FETCH forgery on one HELLO'd + OPENed connection: each draws one
+/// typed ERROR and leaves the connection usable, and a well-formed FETCH
+/// afterwards streams its segment.
+void forged_fetches(net::FrameChannel& ch, const Bytes& archive) {
+  ByteWriter open;
+  open.string("a");
+  ch.send(net::Op::kOpen, open);
+  std::optional<net::Frame> f = ch.recv();
+  ASSERT_TRUE(f.has_value() && f->is(net::Op::kOpenOk));
+  const std::uint32_t id = ByteReader({f->body.data(), f->body.size()}).u32();
+
+  MemorySource src{Bytes(archive)};
+  std::vector<std::uint64_t> keys;
+  for (const SegmentId& s : src.segment_ids()) {
+    keys.push_back(s.key(src.version()));
+  }
+  std::sort(keys.begin(), keys.end());
+  ASSERT_GE(keys.size(), 3u);
+  const std::uint64_t k0 = keys[0];
+  const std::uint64_t k2 = keys[2];
+  const std::uint64_t wrap_down = ~std::uint64_t{0};  // prev + this == prev - 1
+
+  const auto rejects = [&](std::initializer_list<Bytes> frames,
+                           net::ErrCode want) {
+    for (const Bytes& body : frames) ch.send(net::Op::kFetch, body);
+    EXPECT_EQ(expect_error(ch), want);
+    expect_usable(ch);
+  };
+  // A key the index does not hold.
+  rejects({fetch_body(id, false, 1, {keys.back() + 1})},
+          net::ErrCode::kBadRequest);
+  // A duplicate key, a descending key, and a descent across two frames of
+  // one chain (still one ERROR for the whole chain).
+  rejects({fetch_body(id, false, 2, {k0, 0})}, net::ErrCode::kBadRequest);
+  rejects({fetch_body(id, false, 2, {k2, wrap_down})},
+          net::ErrCode::kBadRequest);
+  rejects(
+      {fetch_body(id, true, 1, {k2}), fetch_body(id, false, 1, {wrap_down})},
+      net::ErrCode::kBadRequest);
+  // A count above the table size, with no keys behind it to read.
+  rejects({fetch_body(id, false, keys.size() + 1, {})},
+          net::ErrCode::kBadRequest);
+  // An open id this connection never got.
+  rejects({fetch_body(id + 100, false, 1, {k0})}, net::ErrCode::kBadSequence);
+
+  // Still serving: one real key streams one SEGMENT, then FETCH_OK.
+  ch.send(net::Op::kFetch, fetch_body(id, false, 1, {k0}));
+  f = ch.recv();
+  ASSERT_TRUE(f.has_value() && f->is(net::Op::kSegment));
+  EXPECT_EQ(ByteReader({f->body.data(), f->body.size()}).u64(), k0);
+  f = ch.recv();
+  EXPECT_TRUE(f.has_value() && f->is(net::Op::kFetchOk));
+}
+
 TEST_P(ForgedFrames, GarbageTruncatedOversizedFramesNeverCrashTheServer) {
   Rng rng(6000 + GetParam());
 
@@ -296,10 +380,10 @@ TEST_P(ForgedFrames, GarbageTruncatedOversizedFramesNeverCrashTheServer) {
     hello_body = w.take();
   }
 
-  for (int trial = 0; trial < 18; ++trial) {
+  for (int trial = 0; trial < 22; ++trial) {
     net::Socket sock = net::dial(addr);
     sock.set_timeouts(/*recv_ms=*/300, /*send_ms=*/300);
-    switch (trial % 9) {
+    switch (trial % 11) {
       case 0: {  // pure garbage, never a valid length prefix in sight
         Bytes garbage(1 + rng.uniform_u64(512));
         for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.next_u64());
@@ -339,32 +423,61 @@ TEST_P(ForgedFrames, GarbageTruncatedOversizedFramesNeverCrashTheServer) {
         send_raw(sock, wire_frame(0x7E, body));
         break;
       }
-      case 6: {  // valid HELLO, then an EXECUTE whose body is random garbage
+      case 6: {  // valid HELLO, then a FETCH whose body is random garbage
         send_raw(sock, wire_frame(0x01, hello_body));
         Bytes body(1 + rng.uniform_u64(64));
         for (auto& b : body) b = static_cast<std::uint8_t>(rng.next_u64());
-        send_raw(sock, wire_frame(0x04, body));
+        send_raw(sock, wire_frame(static_cast<std::uint8_t>(net::Op::kFetch),
+                                  body));
         break;
       }
       case 7: {
-        // Valid HELLO, then a v2 PLAN: a retired opcode, not a frame error —
-        // UNKNOWN_OPCODE, and the connection stays usable.
+        // Valid HELLO, then v2's PLAN and v3's EXECUTE and RESUME with
+        // plausible bodies: retired opcodes, not frame errors —
+        // UNKNOWN_OPCODE each, and the connection stays usable.
         net::FrameChannel ch(std::move(sock), net::kMaxFrameBytes);
         ch.send(net::Op::kHello, hello_body);
         std::optional<net::Frame> f = ch.recv();
         ASSERT_TRUE(f.has_value() && f->is(net::Op::kHelloOk));
-        ByteWriter plan;
-        plan.u32(1);  // open_id
-        plan.u64(0);  // epoch
-        net::write_request(plan, Request::full());
-        ch.send(static_cast<net::Op>(0x03), plan);
+        for (const std::uint8_t retired : {0x03, 0x04, 0x07}) {
+          ByteWriter body;
+          body.u32(1);  // open_id
+          body.u64(0);  // epoch / history length
+          body.u8(0);   // v3's full-fidelity request tag
+          body.u8(0);   // no region
+          ch.send(static_cast<net::Op>(retired), body);
+          EXPECT_EQ(expect_error(ch), net::ErrCode::kUnknownOpcode);
+          expect_usable(ch);
+        }
+        ch.socket().shutdown_both();
+        continue;
+      }
+      case 8: {  // every FETCH forgery on one connection
+        net::FrameChannel ch(std::move(sock), net::kMaxFrameBytes);
+        ch.send(net::Op::kHello, hello_body);
+        std::optional<net::Frame> f = ch.recv();
+        ASSERT_TRUE(f.has_value() && f->is(net::Op::kHelloOk));
+        forged_fetches(ch, archive);
+        ch.socket().shutdown_both();
+        continue;
+      }
+      case 9: {
+        // A FETCH chain cut off by a hang-up: "more follows", then nothing.
+        // The server must neither reply nor keep the connection's state.
+        net::FrameChannel ch(std::move(sock), net::kMaxFrameBytes);
+        ch.send(net::Op::kHello, hello_body);
+        std::optional<net::Frame> f = ch.recv();
+        ASSERT_TRUE(f.has_value() && f->is(net::Op::kHelloOk));
+        ByteWriter open;
+        open.string("a");
+        ch.send(net::Op::kOpen, open);
         f = ch.recv();
-        ASSERT_TRUE(f.has_value() && f->is(net::Op::kError));
-        ByteReader r({f->body.data(), f->body.size()});
-        EXPECT_EQ(net::read_error(r).code(), net::ErrCode::kUnknownOpcode);
-        ch.send(net::Op::kStat, Bytes{});
-        f = ch.recv();
-        ASSERT_TRUE(f.has_value() && f->is(net::Op::kStatOk));
+        ASSERT_TRUE(f.has_value() && f->is(net::Op::kOpenOk));
+        const std::uint32_t id =
+            ByteReader({f->body.data(), f->body.size()}).u32();
+        MemorySource src{Bytes(archive)};
+        const std::uint64_t key = src.segment_ids().front().key(src.version());
+        ch.send(net::Op::kFetch, fetch_body(id, true, 1, {key}));
         ch.socket().shutdown_both();
         continue;
       }

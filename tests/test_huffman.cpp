@@ -112,7 +112,7 @@ TEST(Huffman, CodeLengthSerialization) {
   serialize_code_lengths(w, lengths);
   Bytes b = w.take();
   ByteReader r({b.data(), b.size()});
-  auto back = deserialize_code_lengths(r);
+  auto back = deserialize_code_lengths(r, freq.size());
   EXPECT_EQ(back, lengths);
 }
 

@@ -4,7 +4,7 @@
 // equal to the plan's predicted bytes_new, mixed region/eb/bytes traffic,
 // quota rejection over the wire, typed error mapping, the deterministic
 // fault-injection suite (torn I/O, EINTR storms, bit-flipped frames,
-// connection resets — and the self-healing reconnect+RESUME path they
+// connection resets — and the self-healing reconnect + re-FETCH path they
 // exercise) — and the multi-client stress the tsan preset runs against one
 // live daemon.
 #include <gtest/gtest.h>
@@ -307,7 +307,7 @@ TEST(Net, QuotaRejectedOverTheWire) {
   server.start();
 
   net::RemoteReader<double> remote(server.address(), "a");
-  // Admission happens server-side at EXECUTE; the rejection surfaces as the
+  // Admission happens server-side at FETCH; the rejection surfaces as the
   // same typed exception the local Session throws, with the exact shortfall.
   try {
     remote.retrieve(Request::full());
@@ -326,13 +326,13 @@ TEST(Net, QuotaRejectedOverTheWire) {
   server.stop();
 }
 
-/// EXECUTE frames the server has counted so far (STAT itself is not one).
-std::uint64_t executes_seen(net::RemoteReader<double>& remote) {
+/// FETCH frames the server has counted so far (STAT itself is not one).
+std::uint64_t fetches_seen(net::RemoteReader<double>& remote) {
   return remote.archive().stat().frames_by_opcode[net::op_slot(
-      static_cast<std::uint8_t>(net::Op::kExecute))];
+      static_cast<std::uint8_t>(net::Op::kFetch))];
 }
 
-TEST(Net, TypedErrorsForUnknownArchiveStalePlanPriceDrift) {
+TEST(Net, TypedErrorsForUnknownArchiveUnknownAndUnorderedKeys) {
   auto field = smooth_field(Dims{12, 10, 8}, 86, 0.05);
   net::Server server;
   server.export_memory("a", make_archive(field, 1e-5, 4));
@@ -347,25 +347,19 @@ TEST(Net, TypedErrorsForUnknownArchiveStalePlanPriceDrift) {
   }
 
   net::RemoteReader<double> remote(server.address(), "a");
-  // EXECUTE against an epoch the server session never had: STALE_PLAN.
-  RetrievalPlan forged_epoch = remote.plan(Request::full());
-  forged_epoch.epoch = 999;
-  EXPECT_THROW(remote.archive().execute_remote(forged_epoch), std::logic_error);
-  // EXECUTE with a forged expected price: the server's own plan disagrees,
-  // and the typed PRICE_DRIFT surfaces as the mirror-drift runtime_error.
-  RetrievalPlan forged_price = remote.plan(Request::full());
-  forged_price.bytes_new += 1;
-  try {
-    remote.execute(forged_price);
-    FAIL() << "expected a price-drift error";
-  } catch (const std::logic_error&) {
-    FAIL() << "price drift must not read as a stale plan";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("price"), std::string::npos);
-  }
-  // Neither rejection touched the session or the connection: a real
-  // retrieval still works, without a recovery, byte-identical to a local
-  // reader.
+  const std::vector<SegmentId> table = remote.archive().source().segment_ids();
+  ASSERT_FALSE(table.empty());
+  // A key the index does not hold: BAD_REQUEST -> std::invalid_argument.
+  const SegmentId unknown{kSegPlane, 200, 4000, 0xFFFFFF};
+  ASSERT_FALSE(remote.archive().source().has_segment(unknown));
+  const std::vector<SegmentId> with_unknown{table.front(), unknown};
+  EXPECT_THROW(remote.archive().fetch(with_unknown), std::invalid_argument);
+  // A repeated key does not ascend: the same rejection.
+  const std::vector<SegmentId> repeated{table.front(), table.front()};
+  EXPECT_THROW(remote.archive().fetch(repeated), std::invalid_argument);
+  EXPECT_EQ(remote.archive().last_payload_bytes(), 0u);
+  // Neither rejection touched the open or the connection: a full read still
+  // works, without a recovery, byte-identical to a local reader.
   MemorySource src{make_archive(field, 1e-5, 4)};
   ProgressiveReader<double> local(src);
   EXPECT_EQ(remote.retrieve(Request::full()).bytes_new,
@@ -385,12 +379,12 @@ TEST(Net, StalePlansAreRejectedBeforeAnyFrame) {
   net::RemoteReader<double> remote(server.address(), "a");
   RetrievalPlan p1 = remote.plan(Request::error_bound(1e-2));
   remote.retrieve(Request::bytes(2000));  // advances the epoch
-  const std::uint64_t before = executes_seen(remote);
+  const std::uint64_t before = fetches_seen(remote);
   EXPECT_THROW(remote.execute(p1), std::logic_error);
-  EXPECT_EQ(executes_seen(remote), before);  // rejected locally
-  // Not poisoned: the reader keeps refining.
+  EXPECT_EQ(fetches_seen(remote), before);  // rejected locally
+  // The reader keeps refining.
   remote.retrieve(Request::full());
-  EXPECT_EQ(executes_seen(remote), before + 1);
+  EXPECT_EQ(fetches_seen(remote), before + 1);
   server.stop();
 }
 
@@ -448,19 +442,82 @@ TEST(Net, OneRoundTripPerRefinement) {
   const std::vector<Request> traffic = mixed_traffic();
   for (const Request& req : traffic) remote.retrieve(req);
   const net::ServeStats st = remote.archive().stat();
-  // HELLO, OPEN, EXECUTE, STAT, CLOSE, RESUME, unknown: no PLAN slot.
+  // HELLO, OPEN, FETCH, STAT, CLOSE, unknown: no PLAN, EXECUTE or RESUME
+  // slot.
   ASSERT_EQ(st.frames_by_opcode.size(), net::kRequestOpCount + 1);
   const auto slot = [](net::Op op) {
     return net::op_slot(static_cast<std::uint8_t>(op));
   };
-  EXPECT_EQ(st.frames_by_opcode[slot(net::Op::kExecute)], traffic.size());
+  EXPECT_EQ(st.frames_by_opcode[slot(net::Op::kFetch)], traffic.size());
   EXPECT_EQ(st.frames_by_opcode[slot(net::Op::kHello)], 1u);
   EXPECT_EQ(st.frames_by_opcode[slot(net::Op::kOpen)], 1u);
   EXPECT_EQ(st.frames_by_opcode[net::kRequestOpCount], 0u);
   // Every frame the client sent is accounted for: HELLO + OPEN + one
-  // EXECUTE per refinement + this STAT.
+  // FETCH per refinement + this STAT.
   EXPECT_EQ(st.frames_in, traffic.size() + 3);
   server.stop();
+}
+
+// A full read of a many-block archive names more segment keys than one
+// request frame holds.  Its FETCH spans several frames yet still leaves in
+// one write, and the server prices the whole list before acting on it: a
+// quota one byte short rejects all of it before any payload moves, and a
+// quota of exactly the price admits all of it.
+TEST(Net, LongKeyListSpansFetchFramesAdmittedWhole) {
+  auto field = smooth_field(Dims{48, 48, 48}, 96, 0.05);
+  Options opt;
+  opt.error_bound = 1e-6;
+  opt.relative = false;
+  opt.block_side = 4;
+  opt.progressive_threshold = 0;  // every level a stack of plane segments
+  const Bytes archive = compress(field.const_view(), opt);
+
+  MemorySource src{Bytes(archive)};
+  ProgressiveReader<double> local(src);
+  const RetrievalPlan lp = local.plan(Request::full());
+  const auto fetch_frames = [](const net::ServeStats& st) {
+    return st.frames_by_opcode[net::op_slot(
+        static_cast<std::uint8_t>(net::Op::kFetch))];
+  };
+
+  for (const std::uint64_t quota : {lp.bytes_new - 1, lp.bytes_new}) {
+    net::ServerConfig cfg;
+    cfg.session_quota = quota;
+    net::Server server(cfg);
+    server.export_memory("a", Bytes(archive));
+    server.start();
+    net::RemoteReader<double> remote(server.address(), "a");
+    auto counter = std::make_shared<CountingInjector>();
+    remote.archive().set_fault_injector(counter);
+    const RetrievalPlan rp = remote.plan(Request::full());
+    ASSERT_EQ(rp.segments, lp.segments);
+    if (quota < lp.bytes_new) {
+      try {
+        remote.execute(rp);
+        FAIL() << "expected QuotaExceeded";
+      } catch (const QuotaExceeded& e) {
+        EXPECT_EQ(e.needed(), lp.bytes_new);
+        EXPECT_EQ(e.remaining(), quota);
+      }
+    } else {
+      EXPECT_EQ(remote.execute(rp).bytes_new, lp.bytes_new);
+    }
+    EXPECT_EQ(counter->writes, 1u);  // every FETCH frame in one write
+    const net::ServeStats st = remote.archive().stat();
+    EXPECT_GE(fetch_frames(st), 2u);
+    if (quota < lp.bytes_new) {
+      EXPECT_EQ(st.quota_rejections, 1u);
+      EXPECT_EQ(st.payload_bytes_sent, 0u);
+      EXPECT_EQ(st.errors_sent, 1u);  // one reply for the whole chain
+    } else {
+      local.execute(lp);
+      EXPECT_EQ(remote.data(), local.data());
+      EXPECT_EQ(st.quota_rejections, 0u);
+      EXPECT_EQ(remote.archive().wire_payload_bytes(),
+                lp.bytes_new - remote.archive().source().open_cost());
+    }
+    server.stop();
+  }
 }
 
 // Every connection arrival wakes all acceptor threads polling the one
@@ -551,7 +608,7 @@ TEST(Fault, WireBitFlipFastFailsTypedWhenRetriesDisabled) {
   remote.archive().set_fault_injector(plan);
 
   RetrievalPlan p = remote.plan(Request::full());
-  // EXECUTE is one raw write, then per reply frame a 5-byte [length][op]
+  // FETCH is one raw write, then per reply frame a 5-byte [length][op]
   // read and a body read whose chunk is [key u64][payload].  Flip a payload
   // bit of the first SEGMENT frame.
   const std::uint64_t e = plan->io_ops();
@@ -569,11 +626,11 @@ TEST(Fault, WireBitFlipFastFailsTypedWhenRetriesDisabled) {
 }
 
 // The acceptance schedule: two torn writes and an EINTR storm ride through
-// transparently; a bit-flipped frame and then a connection reset
-// mid-EXECUTE each trigger one recovery cycle (reconnect, RESUME replay of
-// the acknowledged history, re-send the same EXECUTE); the mixed retrieval
-// completes byte-identical to a local reader replaying the same requests.
-// Planning is local, so every ordinal below counts from the EXECUTE write.
+// transparently; a bit-flipped frame and then a connection reset mid-FETCH
+// each trigger one recovery cycle (reconnect with HELLO + OPEN, then the
+// same FETCH again); the mixed retrieval completes byte-identical to a
+// local reader replaying the same requests.  Planning is local, so every
+// ordinal below counts from the FETCH write.
 TEST(Fault, SeededScheduleRecoversAndStaysByteIdentical) {
   auto field = smooth_field(Dims{24, 20, 16}, 91, 0.05);
   const Bytes archive = make_archive(field, 1e-6, 8);
@@ -589,7 +646,7 @@ TEST(Fault, SeededScheduleRecoversAndStaysByteIdentical) {
   auto plan = std::make_shared<FaultPlan>(0);
   remote.archive().set_fault_injector(plan);
 
-  // Phase 1: benign faults — torn EXECUTE write (twice: the retry of a torn
+  // Phase 1: benign faults — torn FETCH write (twice: the retry of a torn
   // write is itself torn) and an EINTR storm on the rest of the frame.  No
   // recovery needed.
   RetrievalPlan p1 = remote.plan(Request::error_bound(1e-2));
@@ -611,8 +668,7 @@ TEST(Fault, SeededScheduleRecoversAndStaysByteIdentical) {
   EXPECT_EQ(remote.retries(), 1u);
 
   // Phase 3: connection reset in the middle of the full retrieval's reply
-  // stream (the second SEGMENT frame's body read) → second recovery cycle,
-  // RESUME now replays two requests.
+  // stream (the second SEGMENT frame's body read) → second recovery cycle.
   RetrievalPlan p3 = remote.plan(Request::full());
   e = plan->io_ops();
   plan->reset_at(e + 4);
