@@ -14,9 +14,9 @@
 // read_calls_isolated at equal reconstructions.
 //
 // A third block drives the same schedule through the network daemon
-// (RemoteReader -> ipc serve): over TCP loopback with the mmap storage path
-// and with FileSource reads (the "fread" keys), and over a Unix-domain
-// socket with mmap.  It measures remote throughput, the median request
+// (RemoteReader -> ipc serve), which reads the archive through FileSource:
+// over TCP loopback (the "fread" keys) and over a Unix-domain socket.  It
+// measures remote throughput, the median request
 // latency of TCP against Unix (CI asserts TCP stays within 1.5x: the
 // transport floor), and the compressed bytes actually on the wire against
 // the logical bytes delivered and the resend-everything baseline a
@@ -162,18 +162,16 @@ constexpr int kDaemonRounds = 5;
 
 /// The shared-mode schedule replayed kDaemonRounds times (fresh clients each
 /// round) by remote clients over one daemon listening on `listen`.
-/// `use_mmap` picks the server's storage path.  Byte counts are the first
+/// Byte counts are the first
 /// round's; a round that reconstructs differently from the first empties
 /// that client's output, failing the comparison in main.
 DaemonResult run_daemon(const std::string& path, int clients, const Dims& dims,
-                        std::size_t cache_bytes, bool use_mmap,
-                        const std::string& listen) {
+                        std::size_t cache_bytes, const std::string& listen) {
   net::ServerConfig cfg;
   cfg.listen = listen;
   cfg.workers = static_cast<unsigned>(clients);
   cfg.serve.cache_capacity_bytes = cache_bytes;
   cfg.serve.io_threads = 2;
-  cfg.serve.use_mmap = use_mmap;
   net::Server server(cfg);
   server.export_file("bench", path);
   server.start();
@@ -308,14 +306,11 @@ int main(int argc, char** argv) {
   ModeResult shared = run_shared(path, clients, dims, std::size_t{64} << 20, cache);
   ModeResult isolated = run_isolated(path, clients, dims);
   const std::size_t daemon_cache = std::size_t{64} << 20;
-  DaemonResult daemon_mmap = run_daemon(path, clients, dims, daemon_cache,
-                                        /*use_mmap=*/true, "127.0.0.1:0");
-  DaemonResult daemon_fread = run_daemon(path, clients, dims, daemon_cache,
-                                         /*use_mmap=*/false, "127.0.0.1:0");
+  DaemonResult daemon_tcp =
+      run_daemon(path, clients, dims, daemon_cache, "127.0.0.1:0");
   const char* const sock_path = "bench_serve.sock";
   std::remove(sock_path);  // a crashed earlier run may have left it behind
   DaemonResult daemon_unix = run_daemon(path, clients, dims, daemon_cache,
-                                        /*use_mmap=*/true,
                                         std::string("unix:") + sock_path);
   const IntegrityResult integrity = run_integrity(archive);
   std::remove(path.c_str());
@@ -328,8 +323,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: client %d diverged between modes\n", c);
       return 1;
     }
-    if (daemon_mmap.outputs[i] != shared.outputs[i] ||
-        daemon_fread.outputs[i] != shared.outputs[i] ||
+    if (daemon_tcp.outputs[i] != shared.outputs[i] ||
         daemon_unix.outputs[i] != shared.outputs[i]) {
       std::fprintf(stderr,
                    "FAIL: remote client %d diverged from the local tier\n", c);
@@ -351,29 +345,26 @@ int main(int argc, char** argv) {
                   static_cast<double>(shared.bytes_read ? shared.bytes_read : 1),
               throughput);
 
-  const double tp_mmap = static_cast<double>(daemon_mmap.requests) /
-                         (daemon_mmap.seconds > 0 ? daemon_mmap.seconds : 1e-9);
-  const double tp_fread =
-      static_cast<double>(daemon_fread.requests) /
-      (daemon_fread.seconds > 0 ? daemon_fread.seconds : 1e-9);
+  const double tp_tcp = static_cast<double>(daemon_tcp.requests) /
+                        (daemon_tcp.seconds > 0 ? daemon_tcp.seconds : 1e-9);
   const double tp_unix = static_cast<double>(daemon_unix.requests) /
                          (daemon_unix.seconds > 0 ? daemon_unix.seconds : 1e-9);
   const double tcp_over_unix =
-      daemon_mmap.median_request_s /
+      daemon_tcp.median_request_s /
       (daemon_unix.median_request_s > 0 ? daemon_unix.median_request_s : 1e-9);
-  std::printf("daemon   : mmap %6.3f s (%.0f req/s), fread %6.3f s (%.0f req/s)\n",
-              daemon_mmap.seconds, tp_mmap, daemon_fread.seconds, tp_fread);
+  std::printf("daemon   : tcp %6.3f s (%.0f req/s)\n", daemon_tcp.seconds,
+              tp_tcp);
   std::printf(
       "transport: tcp p50 %.2f ms, unix p50 %.2f ms (%.0f req/s), "
       "tcp/unix %.2fx\n",
-      daemon_mmap.median_request_s * 1e3, daemon_unix.median_request_s * 1e3,
+      daemon_tcp.median_request_s * 1e3, daemon_unix.median_request_s * 1e3,
       tp_unix, tcp_over_unix);
   std::printf("wire     : %zu payload bytes for %zu logical (resend baseline %zu, %.1fx saved)\n",
-              static_cast<std::size_t>(daemon_mmap.wire_bytes),
-              static_cast<std::size_t>(daemon_mmap.logical_bytes),
-              static_cast<std::size_t>(daemon_mmap.resend_bytes),
-              static_cast<double>(daemon_mmap.resend_bytes) /
-                  static_cast<double>(daemon_mmap.wire_bytes ? daemon_mmap.wire_bytes : 1));
+              static_cast<std::size_t>(daemon_tcp.wire_bytes),
+              static_cast<std::size_t>(daemon_tcp.logical_bytes),
+              static_cast<std::size_t>(daemon_tcp.resend_bytes),
+              static_cast<double>(daemon_tcp.resend_bytes) /
+                  static_cast<double>(daemon_tcp.wire_bytes ? daemon_tcp.wire_bytes : 1));
 
   std::printf("integrity: %.2f GB/s verifying %zu segments (%zu bytes)\n",
               integrity.verify_gbps, integrity.segments, integrity.bytes);
@@ -388,14 +379,14 @@ int main(int argc, char** argv) {
   // Progressive transfer is the protocol's point: the wire must carry no
   // more than the ledger's bytes_new and strictly less than re-sending the
   // accumulated state at every step.
-  if (daemon_mmap.wire_bytes == 0 ||
-      daemon_mmap.wire_bytes > daemon_mmap.logical_bytes ||
-      daemon_mmap.wire_bytes >= daemon_mmap.resend_bytes) {
+  if (daemon_tcp.wire_bytes == 0 ||
+      daemon_tcp.wire_bytes > daemon_tcp.logical_bytes ||
+      daemon_tcp.wire_bytes >= daemon_tcp.resend_bytes) {
     std::fprintf(stderr,
                  "FAIL: wire accounting broken (wire %zu, logical %zu, resend %zu)\n",
-                 static_cast<std::size_t>(daemon_mmap.wire_bytes),
-                 static_cast<std::size_t>(daemon_mmap.logical_bytes),
-                 static_cast<std::size_t>(daemon_mmap.resend_bytes));
+                 static_cast<std::size_t>(daemon_tcp.wire_bytes),
+                 static_cast<std::size_t>(daemon_tcp.logical_bytes),
+                 static_cast<std::size_t>(daemon_tcp.resend_bytes));
     return 1;
   }
 
@@ -429,22 +420,21 @@ int main(int argc, char** argv) {
     std::fprintf(json, "  \"seconds_shared\": %.4f,\n", shared.seconds);
     std::fprintf(json, "  \"seconds_isolated\": %.4f,\n", isolated.seconds);
     std::fprintf(json, "  \"daemon\": {\n");
-    std::fprintf(json, "    \"throughput_req_s_mmap\": %.3f,\n", tp_mmap);
-    std::fprintf(json, "    \"throughput_req_s_fread\": %.3f,\n", tp_fread);
+    // The "_fread" keys name the TCP row, which reads through FileSource.
+    std::fprintf(json, "    \"throughput_req_s_fread\": %.3f,\n", tp_tcp);
     std::fprintf(json, "    \"throughput_req_s_unix\": %.3f,\n", tp_unix);
     std::fprintf(json, "    \"request_p50_ms_tcp\": %.4f,\n",
-                 daemon_mmap.median_request_s * 1e3);
+                 daemon_tcp.median_request_s * 1e3);
     std::fprintf(json, "    \"request_p50_ms_unix\": %.4f,\n",
                  daemon_unix.median_request_s * 1e3);
     std::fprintf(json, "    \"tcp_over_unix_latency\": %.4f,\n", tcp_over_unix);
     std::fprintf(json, "    \"wire_payload_bytes\": %zu,\n",
-                 static_cast<std::size_t>(daemon_mmap.wire_bytes));
+                 static_cast<std::size_t>(daemon_tcp.wire_bytes));
     std::fprintf(json, "    \"logical_bytes\": %zu,\n",
-                 static_cast<std::size_t>(daemon_mmap.logical_bytes));
+                 static_cast<std::size_t>(daemon_tcp.logical_bytes));
     std::fprintf(json, "    \"resend_baseline_bytes\": %zu,\n",
-                 static_cast<std::size_t>(daemon_mmap.resend_bytes));
-    std::fprintf(json, "    \"seconds_mmap\": %.4f,\n", daemon_mmap.seconds);
-    std::fprintf(json, "    \"seconds_fread\": %.4f\n", daemon_fread.seconds);
+                 static_cast<std::size_t>(daemon_tcp.resend_bytes));
+    std::fprintf(json, "    \"seconds_fread\": %.4f\n", daemon_tcp.seconds);
     std::fprintf(json, "  },\n");
     std::fprintf(json, "  \"integrity\": {\n");
     std::fprintf(json, "    \"verify_gbps\": %.3f,\n", integrity.verify_gbps);

@@ -10,8 +10,8 @@
 //   ipc stats    <original.raw> <candidate.raw> --dims ZxYxX [--type f64|f32]
 //   ipc serve    <archive.ipc> [--clients N] [--rounds R] [--cache-budget MB]
 //                [--quota BYTES]
-//   ipc serve    <archive.ipc> --listen ADDR [--workers N] [--mmap on|off]
-//                [--cache-budget MB] [--quota BYTES]
+//   ipc serve    <archive.ipc> --listen ADDR [--workers N]
+//                [--cache-budget MB] [--quota BYTES] [--fault-seed S]
 //   ipc serve    <name> --connect ADDR [--clients N] [--rounds R]
 //
 // Raw files are dense row-major little-endian arrays (SDRBench layout).
@@ -30,8 +30,8 @@
 // hit rate and physical-vs-logical I/O; --quota caps each session's bytes
 // and counts plan-admission rejections.  With --listen it instead runs the
 // network daemon (net/server.hpp) on "host:port" or "unix:/path", exporting
-// the archive under both its path and basename, mmap-backed unless
-// --mmap off; SIGINT/SIGTERM drain gracefully and print the server stats.
+// the archive under both its path and basename; SIGINT/SIGTERM drain
+// gracefully and print the server stats.
 // With --connect it drives the same mixed traffic as the in-process mode
 // through RemoteReader clients against a running daemon and prints the
 // daemon's STAT reply.  Unknown flags and malformed values exit non-zero
@@ -75,7 +75,7 @@ using namespace ipcomp;
       "  ipc stats    <original.raw> <candidate.raw> --dims ZxYxX [--type f64|f32]\n"
       "  ipc serve    <archive.ipc> [--clients N] [--rounds R] [--cache-budget MB]\n"
       "               [--quota BYTES]\n"
-      "  ipc serve    <archive.ipc> --listen ADDR [--workers N] [--mmap on|off]\n"
+      "  ipc serve    <archive.ipc> --listen ADDR [--workers N]\n"
       "               [--cache-budget MB] [--quota BYTES] [--fault-seed S]\n"
       "  ipc serve    <name> --connect ADDR [--clients N] [--rounds R]\n";
   std::exit(2);
@@ -446,10 +446,6 @@ int do_serve_listen(const Args& a) {
     cfg.fault_seed = parse_size(*s, "fault-seed");
   }
   cfg.serve.cache_capacity_bytes = cache_budget_bytes(a);
-  if (auto m = a.get("mmap")) {
-    if (*m != "on" && *m != "off") usage("--mmap wants on|off");
-    cfg.serve.use_mmap = *m == "on";
-  }
 
   net::Server server(cfg);
   const std::string& path = a.positional[0];
@@ -460,8 +456,7 @@ int do_serve_listen(const Args& a) {
   }
   server.start();
   std::cout << "serving " << path << " on " << server.address() << " ("
-            << cfg.workers << " workers, "
-            << (cfg.serve.use_mmap ? "mmap" : "fread") << " storage, cache "
+            << cfg.workers << " workers, cache "
             << cfg.serve.cache_capacity_bytes << " bytes)\n";
   if (cfg.fault_seed != 0) {
     std::cout << "fault injection armed: seed " << cfg.fault_seed
@@ -559,10 +554,6 @@ int do_serve(const Args& a) {
 
   ServeOptions sopts;
   sopts.cache_capacity_bytes = cache_budget_bytes(a);
-  if (auto m = a.get("mmap")) {
-    if (*m != "on" && *m != "off") usage("--mmap wants on|off");
-    sopts.use_mmap = *m == "on";
-  }
   ArchiveSet set(sopts);
   auto handle = set.open_file(a.positional[0]);
 
@@ -664,7 +655,7 @@ int main(int argc, char** argv) {
     }
     if (cmd == "serve") {
       args.allow_only({"clients", "rounds", "cache-mb", "cache-budget",
-                       "quota", "listen", "connect", "mmap", "workers",
+                       "quota", "listen", "connect", "workers",
                        "fault-seed"});
       if (args.positional.size() != 1) usage();
       if (args.get("listen") && args.get("connect")) {

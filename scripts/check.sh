@@ -77,15 +77,25 @@ done
 
 # Raw socket plumbing stays confined to src/net/: no other library code may
 # include the socket headers (and so can never grow a second, unframed wire
-# path).  <sys/mman.h> in io/mmap_source.cpp is storage, not sockets, and
-# tests/bench/examples sit outside src_files on purpose — forged-frame tests
-# need raw sends.
+# path).  Tests/bench/examples sit outside src_files on purpose — forged-frame
+# tests need raw sends.
 for f in "${src_files[@]}"; do
   case "$f" in src/net/*) continue ;; esac
   while IFS=: read -r line _; do
     fail "$f:$line: socket header outside src/net/ (all wire I/O goes through net/wire.hpp)"
   done < <(strip_comments "$f" \
            | grep -nE '#[[:space:]]*include[[:space:]]*<(sys/socket\.h|sys/un\.h|netinet/[^>]+|arpa/[^>]+|netdb\.h)>' \
+           | cut -d: -f1 | sed 's/$/:/')
+done
+
+# Archives are read with one checked pread per coalesced run (FileSource),
+# never through a memory mapping: a file truncated under a mapping kills the
+# process with SIGBUS where a short pread is a typed error.
+for f in "${src_files[@]}"; do
+  while IFS=: read -r line _; do
+    fail "$f:$line: <sys/mman.h> in src/ (archives are read through FileSource's pread)"
+  done < <(strip_comments "$f" \
+           | grep -nE '#[[:space:]]*include[[:space:]]*<sys/mman\.h>' \
            | cut -d: -f1 | sed 's/$/:/')
 done
 

@@ -34,7 +34,7 @@ struct Options {
 
   /// Record a per-segment XXH64 checksum at build time (archive container
   /// v4, wrapping whichever base version the backend picks).  Every physical
-  /// read — file, mmap, cache insert, wire frame — then verifies the payload
+  /// read — memory, file, cache insert, wire frame — then verifies the payload
   /// and surfaces IntegrityError instead of corrupt data.  Off reproduces
   /// the pre-v4 container byte-for-byte (golden archives, size-sensitive
   /// comparisons against other compressors).

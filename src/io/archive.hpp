@@ -91,7 +91,7 @@ struct SegmentId {
 
 /// A segment's bytes did not match the checksum recorded at build time.
 /// `layer` names the trust boundary that caught it: kStorage (a physical
-/// Memory/File/Mmap read), kCache (SegmentCache insert), kWire (a SEGMENT
+/// Memory/File read), kCache (SegmentCache insert), kWire (a SEGMENT
 /// frame on the client).  Thrown *instead of* delivering the payload, so
 /// corruption can never flow into reconstruction.
 class IntegrityError : public std::runtime_error {
@@ -357,6 +357,8 @@ class MemorySource final : public SegmentSource {
 /// that descriptor.  A file replaced at the same path (write_file renames a
 /// new archive over it) therefore keeps being read as the archive whose
 /// index was parsed, never as the newcomer's bytes under the old offsets.
+/// A file truncated in place under the reader is a short read, thrown as
+/// std::runtime_error, never a signal.
 ///
 /// Thread contract: inherits SegmentSource's.  Fetches use pread, which
 /// leaves the shared file offset alone, and touch only the immutable index
@@ -395,7 +397,7 @@ class FileSource final : public SegmentSource {
 };
 
 /// Write a serialized archive to disk atomically (temp file, fsync, rename):
-/// readers of the old file, mmapped ones included, keep it intact.
+/// readers of the old file, by descriptor or by mapping, keep it intact.
 void write_file(const std::string& path, const Bytes& data);
 /// Read a whole file into memory.
 Bytes read_file(const std::string& path);

@@ -56,30 +56,28 @@ struct PendingFetch {
   std::optional<RemoteError> error;
 };
 
-/// Registers a live connection's socket for forced shutdown during drain;
-/// unregisters on scope exit.
-class LiveSocketGuard {
- public:
-  LiveSocketGuard(Mutex& mu, std::unordered_map<std::uint64_t, Socket*>& map,
-                  std::uint64_t id, Socket* sock)
-      : mu_(mu), map_(map), id_(id) {
-    LockGuard lock(mu_);
-    map_[id_] = sock;
-  }
-  ~LiveSocketGuard() {
-    LockGuard lock(mu_);
-    map_.erase(id_);
-  }
-  LiveSocketGuard(const LiveSocketGuard&) = delete;
-  LiveSocketGuard& operator=(const LiveSocketGuard&) = delete;
-
- private:
-  Mutex& mu_;
-  std::unordered_map<std::uint64_t, Socket*>& map_;
-  std::uint64_t id_;
-};
-
 }  // namespace
+
+/// A live connection as stop() sees it, registered in live_conns_ for its
+/// handler's lifetime.
+struct Server::LiveConn {
+  LiveConn(Server& owner, Socket* socket) : server(owner), sock(socket) {
+    LockGuard lock(server.mu_);
+    server.live_conns_.insert(this);
+  }
+  ~LiveConn() {
+    LockGuard lock(server.mu_);
+    server.live_conns_.erase(this);
+  }
+  LiveConn(const LiveConn&) = delete;
+  LiveConn& operator=(const LiveConn&) = delete;
+
+  Server& server;
+  Socket* sock;
+  /// Set while the handler waits for its next frame.  Such a connection has
+  /// no reply in flight, so stop() shuts it down without a grace window.
+  std::atomic<bool> waiting{false};
+};
 
 struct Server::ConnState {
   bool hello_done = false;
@@ -121,26 +119,35 @@ void Server::start() {
 void Server::stop(int grace_ms) {
   LockGuard lifecycle(lifecycle_mu_);
   if (!running()) return;
-  stopping_.store(true, std::memory_order_release);
-  // Grace window: in-flight connections notice the stop flag at their next
-  // frame boundary and close themselves.
+  // Sequentially consistent with serve_connection's `waiting` store and
+  // stopping_ load: either the handler sees the flag before it blocks in
+  // recv, or the pass below sees it waiting and shuts its socket.
+  stopping_.store(true);
+  // Handlers waiting for their next frame hold no reply: shutting their
+  // sockets pops them out of recv at once.
+  shutdown_connections(/*waiting_only=*/true);
+  // Grace window: a reply already being sent runs to its end, and its
+  // handler then sees the stop flag and closes the connection.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(grace_ms);
   while (counters_->connections_active.load(std::memory_order_relaxed) > 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  // Stragglers (idle peers holding the connection open) get a half-close,
-  // which pops their handler out of recv immediately.
-  {
-    LockGuard lock(mu_);
-    for (auto& [id, sock] : live_socks_) sock->shutdown_both();
-  }
+  // Stragglers still replying when the window closes are shut down too.
+  shutdown_connections(/*waiting_only=*/false);
   for (std::thread& t : workers_) t.join();
   workers_.clear();
   listener_->close();
   listener_.reset();
   running_.store(false, std::memory_order_release);
+}
+
+void Server::shutdown_connections(bool waiting_only) {
+  LockGuard lock(mu_);
+  for (LiveConn* conn : live_conns_) {
+    if (!waiting_only || conn->waiting.load()) conn->sock->shutdown_both();
+  }
 }
 
 std::string Server::address() const {
@@ -249,13 +256,16 @@ void Server::serve_connection(Socket sock) {
     faults = FaultPlan::random(cfg_.fault_seed ^ conn_id, profile);
     ch.set_fault_injector(faults);
   }
-  LiveSocketGuard guard(mu_, live_socks_, conn_id, &ch.socket());
+  LiveConn live(*this, &ch.socket());
   ConnState st;
   bool alive = true;
-  while (alive && !stopping_.load(std::memory_order_acquire)) {
+  while (alive) {
+    live.waiting.store(true);
+    if (stopping_.load()) break;
     std::optional<Frame> f;
     try {
       f = ch.recv();
+      live.waiting.store(false);
     } catch (const WireError& e) {
       if (e.kind() == WireError::Kind::kTimeout) {
         counters_->idle_reaped.fetch_add(1, std::memory_order_relaxed);

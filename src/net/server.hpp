@@ -10,13 +10,16 @@
 // SessionSource whose byte ledger meters the open's quota; a FETCH is
 // validated against the index, admitted whole against that quota before
 // any read, read cache-first, and streamed to the client still compressed
-// in batched writes.
+// in batched writes.  Exported files are read through FileSource, one
+// checked pread per coalesced run, so a file truncated in place under the
+// daemon fails the FETCH with a typed error instead of killing the process.
 //
 // Archives are exported by name (export_file / export_memory) before
 // start(); OPEN resolves only exported names — a remote peer can never name
 // an arbitrary server-side path.  Per-connection receive timeouts reap idle
-// connections; stop() drains gracefully (stop accepting, give in-flight
-// frames a grace window, then shut the stragglers down).
+// connections; stop() drains gracefully (stop accepting, shut down at once
+// the connections that wait for their next frame, give replies in flight a
+// grace window, then shut the stragglers down).
 //
 // Thread contract: internally-synchronized.  export_*/start/stop/stats may
 // be called from any thread; handler threads only touch the internally-
@@ -29,6 +32,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "net/wire.hpp"
@@ -64,9 +68,8 @@ struct ServerConfig {
   std::uint64_t session_quota = 0;
   /// OPENs one connection may hold at once.
   std::size_t max_opens_per_connection = 8;
-  /// Shared-tier sizing.  The daemon maps archives by default (MmapSource
-  /// falls back to FileSource on empty/over-cap files).
-  ServeOptions serve = {.use_mmap = true};
+  /// Shared-tier sizing.  Exported files are read through FileSource.
+  ServeOptions serve;
 };
 
 class Server {
@@ -87,8 +90,9 @@ class Server {
   /// Bind the listen address and spawn the handler pool.  Throws on bind
   /// failure (address in use, bad spec, ...).
   void start() IPCOMP_EXCLUDES(lifecycle_mu_);
-  /// Graceful drain: stop accepting, wait up to `grace_ms` for in-flight
-  /// connections to finish, then force-close the rest and join the pool.
+  /// Graceful drain: stop accepting, shut down connections that wait for
+  /// their next frame, wait up to `grace_ms` for replies in flight to
+  /// finish, then force-close the rest and join the pool.
   /// Idempotent; concurrent callers (e.g. a user stop racing the destructor)
   /// serialize on the lifecycle lock and only one performs the drain/join.
   void stop(int grace_ms = 1000) IPCOMP_EXCLUDES(lifecycle_mu_, mu_);
@@ -110,6 +114,7 @@ class Server {
   };
   struct Counters;
   struct ConnState;
+  struct LiveConn;
 
   void worker_loop();
   void serve_connection(Socket sock);
@@ -121,6 +126,10 @@ class Server {
   /// Throws RemoteError(kUnknownArchive) for unknown names.
   std::shared_ptr<ArchiveHandle> open_export(const std::string& name)
       IPCOMP_EXCLUDES(mu_);
+
+  /// Shut down every live connection's socket, or only those whose handler
+  /// waits for its next frame.
+  void shutdown_connections(bool waiting_only) IPCOMP_EXCLUDES(mu_);
 
   void send_frame(FrameChannel& ch, Op op, const ByteWriter& w);
   void send_error(FrameChannel& ch, ErrCode code, const std::string& message,
@@ -146,8 +155,8 @@ class Server {
   /// the export namespace is the server's).
   std::unordered_map<std::string, std::shared_ptr<ArchiveHandle>> opened_
       IPCOMP_GUARDED_BY(mu_);
-  /// Sockets of live connections, for forced shutdown during drain.
-  std::unordered_map<std::uint64_t, Socket*> live_socks_ IPCOMP_GUARDED_BY(mu_);
+  /// Live connections, for shutdown during drain.
+  std::unordered_set<LiveConn*> live_conns_ IPCOMP_GUARDED_BY(mu_);
   std::uint64_t next_conn_id_ IPCOMP_GUARDED_BY(mu_) = 1;
 };
 

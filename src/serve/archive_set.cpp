@@ -3,8 +3,6 @@
 #include <atomic>
 #include <utility>
 
-#include "io/mmap_source.hpp"
-
 namespace ipcomp {
 
 namespace {
@@ -80,14 +78,8 @@ std::shared_ptr<ArchiveHandle> ArchiveSet::open_file(const std::string& path) {
   if (it != handles_.end()) return it->second;
   // Built under the lock: a racing open of the same path must not construct
   // (and pay the index parse + header read for) a second handle.
-  std::unique_ptr<SegmentSource> base;
-  if (opts_.use_mmap) {
-    base = std::make_unique<MmapSource>(path);
-  } else {
-    base = std::make_unique<FileSource>(path);
-  }
-  auto handle = std::make_shared<ArchiveHandle>(std::move(base), cache_,
-                                                opts_.io_threads);
+  auto handle = std::make_shared<ArchiveHandle>(
+      std::make_unique<FileSource>(path), cache_, opts_.io_threads);
   handles_.emplace(path, handle);
   return handle;
 }

@@ -34,10 +34,6 @@ struct ServeOptions {
   std::size_t cache_capacity_bytes = std::size_t{64} << 20;
   /// I/O pool workers behind read_many, per archive.
   unsigned io_threads = 2;
-  /// Open file archives through MmapSource instead of FileSource (the
-  /// daemon's default; MmapSource falls back to FileSource on empty or
-  /// over-cap files).  In-memory archives are unaffected.
-  bool use_mmap = false;
 };
 
 /// The shared, internally-synchronized tier of one opened archive: physical
@@ -53,8 +49,8 @@ class ArchiveHandle {
   /// Takes ownership of `base`, fetches its header (the only point where
   /// the base's externally-synchronized header() runs), and builds the I/O
   /// pool over `cache` — usually an ArchiveSet's shared cross-archive cache.
-  /// The base must allow concurrent read_many calls (MemorySource /
-  /// FileSource / MmapSource do) when io_threads > 1.
+  /// The base must allow concurrent read_many calls (MemorySource and
+  /// FileSource do) when io_threads > 1.
   ArchiveHandle(std::unique_ptr<SegmentSource> base,
                 std::shared_ptr<SegmentCache> cache, unsigned io_threads);
   /// Standalone construction: a private cache of opts.cache_capacity_bytes.

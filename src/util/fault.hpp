@@ -202,8 +202,7 @@ class FaultySource final : public SegmentSource {
 
  private:
   /// Fold what the base just charged into this source's own counters, so
-  /// stats() reads the same through the decorator (cf. MmapSource's
-  /// fallback mirroring).
+  /// stats() reads the same through the decorator.
   void mirror(const SourceStats& before);
 
   std::unique_ptr<SegmentSource> base_;

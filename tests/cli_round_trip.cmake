@@ -2,7 +2,8 @@
 # compress a 16^3 f64 field without --block-side, check that `info` reports
 # a v2 archive of one block, retrieve at an absolute bound of 1e-4, and check
 # with `stats` that the reconstruction meets it.  Also checks that the
-# removed `--codec` flag is rejected with the usage hint.
+# removed `--codec` and `ipc serve --mmap` flags are rejected with the usage
+# hint.
 #
 #   cmake -DCLI=<ipc_cli> -DPYTHON=<python3> -DWORK_DIR=<dir> \
 #         -P cli_round_trip.cmake
@@ -45,6 +46,19 @@ if(rc EQUAL 0)
 endif()
 if(NOT err MATCHES "unknown flag --codec" OR NOT err MATCHES "usage:")
   message(FATAL_ERROR "ipc compress --codec gave no usage hint:\n${out}${err}")
+endif()
+
+# The daemon reads archives through one storage path; a storage choice is an
+# unknown flag, refused before anything listens (the timeout keeps a daemon
+# that did start from hanging the test).
+execute_process(
+  COMMAND ${CLI} serve ${archive} --listen 127.0.0.1:0 --mmap on
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err TIMEOUT 20)
+if(rc EQUAL 0 OR NOT rc MATCHES "^[0-9]+$")
+  message(FATAL_ERROR "ipc serve --mmap on exited ${rc}")
+endif()
+if(NOT err MATCHES "unknown flag --mmap" OR NOT err MATCHES "usage:")
+  message(FATAL_ERROR "ipc serve --mmap gave no usage hint:\n${out}${err}")
 endif()
 
 run_cli(info info ${archive})

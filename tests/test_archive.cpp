@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -10,7 +11,6 @@
 #include "core/compressor.hpp"
 #include "core/progressive_reader.hpp"
 #include "io/archive.hpp"
-#include "io/mmap_source.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
@@ -253,10 +253,10 @@ TEST(Archive, WriteFileReportsBufferedWriteFailure) {
   EXPECT_THROW(write_file("/dev/full", Bytes(100000, 1)), std::runtime_error);
 }
 
-// write_file replaces a file by rename, so a source that mapped the old
-// file keeps its inode and still reads every one of its own payloads.  An
-// in-place truncate would leave the mapping past the new end of file, and
-// the next read would fault (SIGBUS).
+// write_file replaces a file by rename, so a reader that mapped the old
+// file keeps its inode and still reads every byte of it.  An in-place
+// truncate would leave the mapping past the new end of file, and the next
+// read would fault (SIGBUS).
 TEST(Archive, WriteFileKeepsMappedReadersIntact) {
   const auto build = [](std::size_t n, std::uint8_t fill) {
     ArchiveBuilder b;
@@ -267,14 +267,22 @@ TEST(Archive, WriteFileKeepsMappedReadersIntact) {
     return b.finish();
   };
   const std::string path = ::testing::TempDir() + "/ipcomp_replace_mapped.bin";
-  write_file(path, build(64 << 10, 10));
-  MmapSource mapped(path);
+  const Bytes original = build(64 << 10, 10);
+  write_file(path, original);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  void* map = ::mmap(nullptr, original.size(), PROT_READ, MAP_SHARED, fd, 0);
+  ::close(fd);  // the mapping keeps the inode alive
+  ASSERT_NE(map, MAP_FAILED);
   const Bytes smaller = build(16, 50);
   write_file(path, smaller);
+  const auto* mapped = static_cast<const std::uint8_t*>(map);
+  MemorySource old_archive(Bytes(mapped, mapped + original.size()));
   for (std::uint32_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(mapped.read_segment({1, 1, i}),
+    EXPECT_EQ(old_archive.read_segment({1, 1, i}),
               Bytes(64 << 10, static_cast<std::uint8_t>(10 + i)));
   }
+  ::munmap(map, original.size());
   EXPECT_EQ(read_file(path), smaller);
   std::remove(path.c_str());
 }
@@ -340,6 +348,26 @@ TEST(Archive, FileSourceMissingFileThrows) {
   const std::string path = ::testing::TempDir() + "/ipcomp_no_such_archive.ipc";
   std::remove(path.c_str());
   EXPECT_THROW(FileSource{path}, std::runtime_error);
+}
+
+// An empty file and an archive cut short before it was opened are both
+// refused at open.
+TEST(Archive, FileSourceRejectsEmptyAndTruncatedFiles) {
+  const std::string empty = ::testing::TempDir() + "/ipcomp_empty.ipc";
+  write_file(empty, Bytes{});
+  EXPECT_THROW(FileSource{empty}, std::runtime_error);
+
+  Options opt;
+  opt.block_side = 4;
+  const Bytes archive = compress(
+      testutil::smooth_field(Dims{12, 10, 8}, 74, 0.05).const_view(), opt);
+  const std::string path = ::testing::TempDir() + "/ipcomp_truncated.ipc";
+  write_file(path, Bytes(archive.begin(),
+                         archive.begin() +
+                             static_cast<std::ptrdiff_t>(archive.size() / 3)));
+  EXPECT_THROW(FileSource{path}, std::runtime_error);
+  std::remove(empty.c_str());
+  std::remove(path.c_str());
 }
 
 // Unlinking the path leaves the open descriptor's inode alive: every
@@ -456,6 +484,100 @@ TEST(Archive, FileSourceConcurrentReadsMatchMemorySource) {
   std::remove(path.c_str());
 }
 
+// A compressed archive read from its file and from memory: same header,
+// index and payloads, the same bytes charged, and a missing segment refused
+// without charging anything.
+TEST(Archive, FileSourcePayloadsAndStatsMatchMemorySource) {
+  Options opt;
+  opt.block_side = 8;
+  const Bytes archive = compress(
+      testutil::smooth_field(Dims{24, 20, 16}, 71, 0.05).const_view(), opt);
+  const std::string path = ::testing::TempDir() + "/ipcomp_file_parity.ipc";
+  write_file(path, archive);
+
+  FileSource fsrc(path);
+  MemorySource msrc{Bytes(archive)};
+  EXPECT_EQ(fsrc.header(), msrc.header());
+  EXPECT_EQ(fsrc.version(), msrc.version());
+  EXPECT_EQ(fsrc.total_size(), msrc.total_size());
+  EXPECT_EQ(fsrc.segment_ids(), msrc.segment_ids());
+  EXPECT_EQ(fsrc.stats().bytes_read, msrc.stats().bytes_read);
+
+  const std::vector<SegmentId> ids = msrc.segment_ids();
+  ASSERT_FALSE(ids.empty());
+  for (const SegmentId& id : ids) {
+    EXPECT_EQ(fsrc.segment_size(id), msrc.segment_size(id));
+  }
+  EXPECT_EQ(fsrc.read_many(ids), msrc.read_many(ids));
+  EXPECT_EQ(fsrc.stats().bytes_read, msrc.stats().bytes_read);
+
+  SegmentId bogus;
+  bogus.kind = 0xAB;
+  const std::size_t before = fsrc.stats().bytes_read;
+  EXPECT_THROW(fsrc.read_segment(bogus), std::runtime_error);
+  EXPECT_THROW(fsrc.read_many(std::vector<SegmentId>{ids[0], bogus}),
+               std::runtime_error);
+  EXPECT_EQ(fsrc.stats().bytes_read, before);
+  std::remove(path.c_str());
+}
+
+// Random subsets in random order, with holes between the coalesced runs:
+// read_many returns them in request order, equal to MemorySource's, and
+// charges only the payload bytes (never the gap bytes read through).
+TEST(Archive, FileSourceRandomSubsetsMatchMemorySource) {
+  Options opt;
+  opt.block_side = 8;
+  const Bytes archive = compress(
+      testutil::smooth_field(Dims{20, 18, 14}, 72, 0.07).const_view(), opt);
+  const std::string path = ::testing::TempDir() + "/ipcomp_file_subsets.ipc";
+  write_file(path, archive);
+
+  FileSource fsrc(path);
+  MemorySource msrc{Bytes(archive)};
+  const std::vector<SegmentId> ids = msrc.segment_ids();
+  ASSERT_GT(ids.size(), 4u);
+
+  Rng rng(72);
+  for (int trial = 0; trial < 24; ++trial) {
+    std::vector<SegmentId> subset;
+    for (const SegmentId& id : ids) {
+      if (rng.uniform() < 0.4) subset.push_back(id);
+    }
+    for (std::size_t i = subset.size(); i > 1; --i) {
+      std::swap(subset[i - 1], subset[rng.uniform_u64(i)]);
+    }
+    if (subset.empty()) continue;
+    EXPECT_EQ(fsrc.read_many(subset), msrc.read_many(subset)) << "trial " << trial;
+    EXPECT_EQ(fsrc.stats().bytes_read, msrc.stats().bytes_read);
+  }
+  std::remove(path.c_str());
+}
+
+// A progressive reader over the file plans, charges and reconstructs
+// exactly as one over the same archive in memory.
+TEST(Archive, ReaderOverFileSourceMatchesMemoryReader) {
+  Options opt;
+  opt.block_side = 8;
+  const Bytes archive = compress(
+      testutil::smooth_field(Dims{24, 20, 16}, 75, 0.05).const_view(), opt);
+  const std::string path = ::testing::TempDir() + "/ipcomp_file_reader.ipc";
+  write_file(path, archive);
+
+  FileSource fsrc(path);
+  MemorySource msrc{Bytes(archive)};
+  ProgressiveReader<double> a(fsrc), b(msrc);
+  for (const Request& req :
+       {Request::error_bound(1e-2), Request::bytes(3000), Request::full()}) {
+    const RetrievalPlan pa = a.plan(req), pb = b.plan(req);
+    EXPECT_EQ(pa.segments, pb.segments);
+    EXPECT_EQ(pa.bytes_new, pb.bytes_new);
+    const RetrievalStats sa = a.execute(pa), sb = b.execute(pb);
+    EXPECT_EQ(sa.bytes_total, sb.bytes_total);
+    EXPECT_EQ(a.data(), b.data());
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Archive, DirectoryIsNotAFile) {
   // A directory opens for reading but reports a bogus huge size; it must be
   // a clean runtime_error, not an allocation of that size.
@@ -479,7 +601,7 @@ TEST(Archive, ManySegmentsIndexedCorrectly) {
 }
 
 // FileSource reads the index to its exact end, not a fixed prefix: a
-// segment table of several MB opens through it as through the mapping.
+// segment table of several MB opens through it as from memory.
 TEST(Archive, FileSourceReadsLargeSegmentTable) {
   ArchiveBuilder b;
   b.set_version(kArchiveV2);
@@ -495,7 +617,7 @@ TEST(Archive, FileSourceReadsLargeSegmentTable) {
   write_file(path, blob);
 
   FileSource fsrc(path);
-  MmapSource msrc(path);
+  MemorySource msrc(std::move(blob));
   EXPECT_EQ(fsrc.segment_ids(), msrc.segment_ids());
   const std::vector<SegmentId> some = {{1, 1, 0, 0},
                                        {1, 1, 0, kSegments / 2},

@@ -1,7 +1,7 @@
 // End-to-end segment integrity: the v4 checksum column and the trust
 // boundaries that consult it.  Byte-flip property tests assert that a
 // corrupted payload surfaces as a typed IntegrityError at the layer that
-// caught it (kStorage for Memory/File/Mmap reads, kCache for SegmentCache
+// caught it (kStorage for Memory/File reads, kCache for SegmentCache
 // inserts) and never as silently wrong reconstruction; pre-v4 containers
 // stay readable with one warning per process.  The kWire boundary is
 // exercised in tests/test_net.cpp where a live daemon is available.
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "io/mmap_source.hpp"
 #include "ipcomp.hpp"
 #include "serve/cache.hpp"
 #include "test_util.hpp"
@@ -180,7 +179,7 @@ TEST(Integrity, ByteFlipRaisesStorageIntegrityErrorForThatSegment) {
   }
 }
 
-TEST(Integrity, FileAndMmapSourcesVerifyEveryPhysicalRead) {
+TEST(Integrity, FileSourceVerifiesEveryPhysicalRead) {
   auto field = smooth_field(Dims{16, 14, 10}, 15, 0.05);
   Bytes blob = make_archive(field, true);
   const ArchiveIndex idx =
@@ -189,24 +188,20 @@ TEST(Integrity, FileAndMmapSourcesVerifyEveryPhysicalRead) {
   const SegmentId victim = flip_payload_bit(blob, idx, 3, 17);
   const std::string path = write_temp(blob, "ipc_integrity_flip.ipc");
 
-  FileSource fs(path);
-  MmapSource ms(path);
-  for (SegmentSource* src : {static_cast<SegmentSource*>(&fs),
-                             static_cast<SegmentSource*>(&ms)}) {
-    try {
-      src->read_segment(victim);
-      FAIL() << "corrupted segment delivered without IntegrityError";
-    } catch (const IntegrityError& e) {
-      EXPECT_EQ(e.layer(), IntegrityError::Layer::kStorage);
-      EXPECT_EQ(e.segment(), victim);
-    }
-    // Batched fetches are all-or-nothing: the corrupted member poisons the
-    // batch and no bytes are charged for undelivered payloads.
-    const std::size_t before = src->stats().bytes_read;
-    std::vector<SegmentId> all = src->segment_ids();
-    EXPECT_THROW(src->read_many(all), IntegrityError);
-    EXPECT_EQ(src->stats().bytes_read, before);
+  FileSource src(path);
+  try {
+    src.read_segment(victim);
+    FAIL() << "corrupted segment delivered without IntegrityError";
+  } catch (const IntegrityError& e) {
+    EXPECT_EQ(e.layer(), IntegrityError::Layer::kStorage);
+    EXPECT_EQ(e.segment(), victim);
   }
+  // Batched fetches are all-or-nothing: the corrupted member poisons the
+  // batch and no bytes are charged for undelivered payloads.
+  const std::size_t before = src.stats().bytes_read;
+  std::vector<SegmentId> all = src.segment_ids();
+  EXPECT_THROW(src.read_many(all), IntegrityError);
+  EXPECT_EQ(src.stats().bytes_read, before);
 }
 
 TEST(Integrity, UnknownChecksumAlgorithmRejected) {

@@ -1,8 +1,10 @@
-// Network serving tier: MmapSource/FileSource parity, loopback client/server
-// integration — remote reconstruction byte-identical to a local reader over
-// the same request sequence on both storage backends, refinement wire bytes
-// equal to the plan's predicted bytes_new, mixed region/eb/bytes traffic,
-// quota rejection over the wire, typed error mapping, the deterministic
+// Network serving tier: loopback client/server integration — remote
+// reconstruction byte-identical to a local reader over the same request
+// sequence from memory and from a file, refinement wire bytes equal to the
+// plan's predicted bytes_new, mixed region/eb/bytes traffic, quota
+// rejection over the wire, typed error mapping (an archive truncated in
+// place under the daemon included), a stop() that closes idle connections
+// at once and lets replies in flight finish, the deterministic
 // fault-injection suite (torn I/O, EINTR storms, bit-flipped frames,
 // connection resets — and the self-healing reconnect + re-FETCH path they
 // exercise) — and the multi-client stress the tsan preset runs against one
@@ -11,7 +13,9 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
@@ -21,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "io/mmap_source.hpp"
 #include "ipcomp.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -49,119 +52,6 @@ std::string write_temp_archive(const Bytes& archive, const std::string& name) {
   const std::string path = ::testing::TempDir() + "/" + name;
   write_file(path, archive);
   return path;
-}
-
-// ---- MmapSource -----------------------------------------------------------
-
-TEST(MmapSource, PayloadsAndStatsMatchFileSource) {
-  auto field = smooth_field(Dims{24, 20, 16}, 71, 0.05);
-  const std::string path =
-      write_temp_archive(make_archive(field, 1e-6, 8), "ipc_mmap_parity.ipc");
-
-  FileSource fs(path);
-  MmapSource ms(path);
-  ASSERT_TRUE(ms.mapped());
-
-  EXPECT_EQ(ms.header(), fs.header());
-  EXPECT_EQ(ms.version(), fs.version());
-  EXPECT_EQ(ms.total_size(), fs.total_size());
-  EXPECT_EQ(ms.segment_ids(), fs.segment_ids());
-  // Open cost parity: header + table charged identically.
-  EXPECT_EQ(ms.stats().bytes_read, fs.stats().bytes_read);
-  EXPECT_EQ(ms.stats().read_calls, fs.stats().read_calls);
-
-  const std::vector<SegmentId> ids = fs.segment_ids();
-  ASSERT_FALSE(ids.empty());
-  for (const SegmentId& id : ids) {
-    EXPECT_EQ(ms.segment_size(id), fs.segment_size(id));
-  }
-  EXPECT_EQ(ms.read_many(ids), fs.read_many(ids));
-  // Full accounting parity: payload bytes, dispatches, coalesced ranges.
-  EXPECT_EQ(ms.stats().bytes_read, fs.stats().bytes_read);
-  EXPECT_EQ(ms.stats().read_calls, fs.stats().read_calls);
-  EXPECT_EQ(ms.stats().coalesced_ranges, fs.stats().coalesced_ranges);
-
-  // Missing segments are rejected all-or-nothing without charging.
-  SegmentId bogus;
-  bogus.kind = 0xAB;
-  const std::size_t before = ms.stats().bytes_read;
-  EXPECT_THROW(ms.read_segment(bogus), std::runtime_error);
-  EXPECT_EQ(ms.stats().bytes_read, before);
-}
-
-TEST(MmapSource, RandomSubsetPropertyAgainstFileSource) {
-  auto field = smooth_field(Dims{20, 18, 14}, 72, 0.07);
-  const std::string path =
-      write_temp_archive(make_archive(field, 1e-6, 8), "ipc_mmap_prop.ipc");
-
-  FileSource fs(path);
-  MmapSource ms(path);
-  ASSERT_TRUE(ms.mapped());
-  const std::vector<SegmentId> ids = fs.segment_ids();
-  ASSERT_GT(ids.size(), 4u);
-
-  Rng rng(72);
-  for (int trial = 0; trial < 24; ++trial) {
-    // Random subset in random order (read_many must preserve request order).
-    std::vector<SegmentId> subset;
-    for (const SegmentId& id : ids) {
-      if (rng.uniform() < 0.4) subset.push_back(id);
-    }
-    for (std::size_t i = subset.size(); i > 1; --i) {
-      std::swap(subset[i - 1], subset[rng.uniform_u64(i)]);
-    }
-    if (subset.empty()) continue;
-    EXPECT_EQ(ms.read_many(subset), fs.read_many(subset)) << "trial " << trial;
-    EXPECT_EQ(ms.stats().bytes_read, fs.stats().bytes_read);
-  }
-}
-
-TEST(MmapSource, OverCapFileFallsBackToFileSource) {
-  auto field = smooth_field(Dims{16, 12, 8}, 73, 0.05);
-  const std::string path =
-      write_temp_archive(make_archive(field, 1e-6, 8), "ipc_mmap_cap.ipc");
-
-  FileSource fs(path);
-  MmapSource ms(path, /*map_cap_bytes=*/16);  // archive is far larger
-  EXPECT_FALSE(ms.mapped());
-  EXPECT_EQ(ms.header(), fs.header());
-  const std::vector<SegmentId> ids = fs.segment_ids();
-  EXPECT_EQ(ms.read_many(ids), fs.read_many(ids));
-  EXPECT_EQ(ms.stats().bytes_read, fs.stats().bytes_read);
-}
-
-TEST(MmapSource, EmptyAndTruncatedFilesRejectLikeFileSource) {
-  const std::string empty = ::testing::TempDir() + "/ipc_mmap_empty.ipc";
-  write_file(empty, Bytes{});
-  EXPECT_THROW(FileSource{empty}, std::exception);
-  EXPECT_THROW(MmapSource{empty}, std::exception);  // empty -> fallback path
-
-  auto field = smooth_field(Dims{12, 10, 8}, 74, 0.05);
-  Bytes archive = make_archive(field, 1e-5, 4);
-  Bytes truncated(archive.begin(),
-                  archive.begin() + static_cast<std::ptrdiff_t>(archive.size() / 3));
-  const std::string path = write_temp_archive(truncated, "ipc_mmap_trunc.ipc");
-  EXPECT_THROW(FileSource{path}, std::exception);
-  EXPECT_THROW(MmapSource{path}, std::exception);
-}
-
-TEST(MmapSource, ReaderOverMmapMatchesFileReader) {
-  auto field = smooth_field(Dims{24, 20, 16}, 75, 0.05);
-  const std::string path =
-      write_temp_archive(make_archive(field, 1e-6, 8), "ipc_mmap_reader.ipc");
-
-  FileSource fs(path);
-  MmapSource ms(path);
-  ProgressiveReader<double> a(fs), b(ms);
-  for (const Request& req :
-       {Request::error_bound(1e-2), Request::bytes(3000), Request::full()}) {
-    RetrievalPlan pa = a.plan(req), pb = b.plan(req);
-    EXPECT_EQ(pa.segments, pb.segments);
-    EXPECT_EQ(pa.bytes_new, pb.bytes_new);
-    RetrievalStats sa = a.execute(pa), sb = b.execute(pb);
-    EXPECT_EQ(sa.bytes_total, sb.bytes_total);
-    EXPECT_EQ(a.data(), b.data());
-  }
 }
 
 // ---- loopback client/server -----------------------------------------------
@@ -227,14 +117,12 @@ TEST(Net, RemoteMatchesLocalReaderMemoryBacked) {
   server.stop();
 }
 
-TEST(Net, RemoteMatchesLocalReaderFileMmapBacked) {
+TEST(Net, RemoteMatchesLocalReaderFileBacked) {
   auto field = smooth_field(Dims{24, 20, 16}, 82, 0.06);
   Bytes archive = make_archive(field, 1e-6, 8);
-  const std::string path = write_temp_archive(archive, "ipc_net_mmap.ipc");
+  const std::string path = write_temp_archive(archive, "ipc_net_file.ipc");
 
-  net::ServerConfig cfg;
-  cfg.serve.use_mmap = true;
-  net::Server server(cfg);
+  net::Server server;
   server.export_file("density", path);
   server.start();
 
@@ -250,22 +138,108 @@ TEST(Net, RemoteMatchesLocalReaderFileMmapBacked) {
   server.stop();
 }
 
-TEST(Net, RemoteMatchesLocalReaderFileFreadBacked) {
-  auto field = smooth_field(Dims{20, 16, 12}, 83, 0.05);
-  Bytes archive = make_archive(field, 1e-6, 8);
-  const std::string path = write_temp_archive(archive, "ipc_net_fread.ipc");
+// An archive file truncated in place (not replaced) under the daemon: a
+// FETCH that reaches past the new end fails with a typed error on the
+// client, and the daemon keeps serving the connection and its other
+// exports.
+TEST(Net, InPlaceTruncationIsATypedError) {
+  auto field = smooth_field(Dims{64, 64, 64}, 90, 0.05);
+  const Bytes archive = make_archive(field, 1e-6, 32);
+  const std::string doomed = write_temp_archive(archive, "ipc_net_doomed.ipc");
+  const std::string intact = write_temp_archive(archive, "ipc_net_intact.ipc");
 
-  net::ServerConfig cfg;
-  cfg.serve.use_mmap = false;
-  net::Server server(cfg);
-  server.export_file("density", path);
+  net::Server server;
+  server.export_file("doomed", doomed);
+  server.export_file("intact", intact);
   server.start();
+
+  net::RemoteReader<double> remote(server.address(), "doomed");
+  const RetrievalStats coarse = remote.retrieve(Request::error_bound(1e-2));
+  ASSERT_LT(coarse.bytes_total, archive.size() / 2);  // levels stay progressive
+  ASSERT_EQ(::truncate(doomed.c_str(), static_cast<::off_t>(archive.size() / 2)),
+            0);
+  try {
+    remote.retrieve(Request::full());
+    FAIL() << "expected RemoteError";
+  } catch (const net::RemoteError& e) {
+    EXPECT_EQ(e.code(), net::ErrCode::kInternal);
+  }
+  EXPECT_EQ(remote.archive().stat().errors_sent, 1u);
 
   MemorySource src{Bytes(archive)};
   ProgressiveReader<double> local(src);
-  net::RemoteReader<double> remote(server.address(), "density");
-  assert_remote_matches_local(remote, local, mixed_traffic());
+  net::RemoteReader<double> other(server.address(), "intact");
+  EXPECT_EQ(other.retrieve(Request::full()).bytes_new,
+            local.retrieve(Request::full()).bytes_new);
+  EXPECT_EQ(other.data(), local.data());
   server.stop();
+}
+
+// A connection whose handler waits for its next frame has no reply in
+// flight, so stop() shuts it down at once instead of waiting out the grace
+// window for a client that is not going to speak.
+TEST(Net, StopClosesIdleConnectionsAtOnce) {
+  auto field = smooth_field(Dims{16, 12, 8}, 91, 0.05);
+  net::Server server;
+  server.export_memory("a", make_archive(field, 1e-6, 8));
+  server.start();
+
+  net::RemoteReader<double> remote(server.address(), "a");
+  remote.retrieve(Request::error_bound(1e-2));
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();  // default 1000 ms grace
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(500));
+  EXPECT_FALSE(server.running());
+}
+
+/// Holds every raw read until opened.
+class ReadGate final : public FaultInjector {
+ public:
+  bool drop(FaultOp op) override {
+    if (op == FaultOp::kRead) open.wait(false);
+    return false;
+  }
+  std::atomic<bool> open{false};
+};
+
+// A reply already being sent when stop() starts gets the grace window: the
+// client holds off reading a 4 MiB reply, far more than a Unix socket
+// buffers, until stop() has begun, and still receives all of it.
+TEST(Net, StopLetsAReplyInFlightFinish) {
+  ArchiveBuilder b;
+  b.set_header(Bytes{1, 2, 3});
+  Rng rng(92);
+  std::vector<SegmentId> ids;
+  std::uint64_t total = 0;
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    Bytes payload(std::size_t{256} << 10);
+    for (auto& x : payload) x = static_cast<std::uint8_t>(rng.next_u64());
+    total += payload.size();
+    ids.push_back({1, 1, i});
+    b.add_segment(ids.back(), std::move(payload));
+  }
+  net::ServerConfig cfg;
+  cfg.listen = "unix:" + ::testing::TempDir() + "/ipc_net_inflight.sock";
+  net::Server server(cfg);
+  server.export_memory("a", b.finish());
+  server.start();
+
+  net::RemoteArchive remote(cfg.listen, "a");
+  auto gate = std::make_shared<ReadGate>();
+  remote.set_fault_injector(gate);
+  std::thread fetcher([&] { EXPECT_NO_THROW(remote.fetch(ids)); });
+  // HELLO, OPEN and FETCH in: the handler is now sending the reply.
+  while (server.stats().frames_in < 3) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::thread stopper([&] { server.stop(/*grace_ms=*/10000); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gate->open = true;
+  gate->open.notify_all();
+  fetcher.join();
+  stopper.join();
+  EXPECT_EQ(remote.last_payload_bytes(), total);
 }
 
 TEST(Net, UnixDomainSocketLoopback) {
