@@ -18,16 +18,21 @@ void bitmap_set(Bytes& bm, std::size_t i) {
   bm[i >> 3] |= static_cast<std::uint8_t>(1u << (i & 7));
 }
 
-/// A fresh reader's first execute() fills its output field beside the block
-/// decode when the field buffer is at least this large.  32 MiB is glibc's
-/// 64-bit mmap threshold ceiling: buffers this size always come as fresh
-/// kernel pages, so the value-initializing fill is a serial first-touch
-/// page-fault cost (about 45 ms of a 100 ms one-shot read of a 134 MB f64
+/// A fresh reader's first execute() fills its output field slab by slab
+/// beside the block decode when the field buffer is at least this large.
+/// 32 MiB is glibc's 64-bit mmap threshold ceiling: buffers this size always
+/// come as fresh kernel pages, so a value-initializing fill is a serial
+/// first-touch page-fault cost (about 45 ms of a 100 ms one-shot read of a 134 MB f64
 /// field at 4 threads) and the buffer returns to the OS on free.  Below it
 /// the fill costs a few ms, and overlapping raised peak RSS 15-38% on the
 /// serve-tcp benchmark's 16.7 MB client fields through malloc arena
 /// retention (RSS was identical under MALLOC_ARENA_MAX=1).
 constexpr std::size_t kOverlapFillBytes = std::size_t{32} << 20;
+
+/// Elements per 4 KiB, the smallest common page size: writing one element
+/// this far apart faults in every page of a fresh buffer.
+template <typename T>
+constexpr std::size_t kPageElems = 4096 / sizeof(T);
 
 /// Planes-from-top a block level `lh` uses at `axis` planes of a plan axis
 /// `depth` planes deep.  The axis counts from the top of the deepest planned
@@ -440,6 +445,17 @@ RetrievalStats ProgressiveReader<T>::execute(const RetrievalPlan& p) {
   // base decodes before its planes (plane decoding reads the base codes).
   // A block is rebuilt from its codes on first touch and whenever it
   // received planes; the others keep their values.
+  const std::size_t n = header_.dims.count();
+  const bool pipeline = xhat_.empty() && n * sizeof(T) >= kOverlapFillBytes &&
+                        grid_.n_blocks > 1;
+  if (pipeline) {
+    xhat_.reserve(n);  // no page touched yet; the slabs fill below
+  } else if (xhat_.empty()) {
+    xhat_.assign(n, T{});
+  }
+  // Taken once: the pipeline's caller grows xhat_ while blocks rebuild, and
+  // the reserved storage never moves.
+  T* const out = xhat_.data();
   auto decode = [&](std::size_t i) {
     const std::size_t b = p.blocks[i];
     if (fetched[b].has_base) decode_base(b, fetched[b]);
@@ -448,27 +464,38 @@ RetrievalStats ProgressiveReader<T>::execute(const RetrievalPlan& p) {
   auto rebuild = [&](std::size_t i) {
     BlockState& bs = blocks_[p.blocks[i]];
     if (bs.have_recon && fetched[p.blocks[i]].planes.empty()) return;
-    backend_->reconstruct(header_, bs.bc, xhat_.data());
+    backend_->reconstruct(header_, bs.bc, out);
     bs.have_recon = true;
   };
-  const std::size_t field_bytes = header_.dims.count() * sizeof(T);
-  if (xhat_.empty() && field_bytes >= kOverlapFillBytes) {
-    // First execute on a large field: the calling thread value-initializes
-    // the output (first-touch page faults, serial by nature) while the rest
-    // of the team decodes every planned block's codes, which never touch
-    // xhat_; then all blocks reconstruct.  One-block archives fall below the
-    // grain and run fill, decode, reconstruct in order with inner
-    // parallelism.
-    parallel_for_beside([&] { xhat_.assign(header_.dims.count(), T{}); }, 0,
-                        p.blocks.size(), decode, /*grain=*/2);
-    parallel_for_ex(0, p.blocks.size(), rebuild, /*grain=*/2);
-  } else {
-    if (xhat_.empty()) xhat_.assign(header_.dims.count(), T{});
+  if (!pipeline) {
     parallel_for_ex(0, p.blocks.size(), [&](std::size_t i) {
       decode(i);
       rebuild(i);
     }, /*grain=*/2);
+    return finish_stats(before, p.blocks);
   }
+  // First execute on a large field: a slab is one row of blocks along
+  // dimension 0.  The calling thread grows xhat_ slab by slab (resize
+  // value-initializes just that slab) while the rest of the team
+  // first-touches the pages of slabs the caller has not reached, decodes
+  // every planned block, and rebuilds each block as soon as its slab is
+  // filled; the caller then joins the rebuilds.  A touch writes one zero per
+  // page past size() through `out`: double and float are implicit-lifetime
+  // types, so the storage ::operator new handed to reserve() already holds
+  // their objects (C++20 [intro.object]), and the caller's resize
+  // value-initializes every element again before anything reads it.
+  const std::size_t slab = grid_.block_side * header_.dims.strides()[0];
+  auto slab_end = [&](std::size_t s) { return std::min(n, (s + 1) * slab); };
+  parallel_slab_pipeline(
+      grid_.grid[0], [&](std::size_t s) { xhat_.resize(slab_end(s)); },
+      [&](std::size_t s) {
+        for (std::size_t k = s * slab; k < slab_end(s); k += kPageElems<T>) {
+          out[k] = T{};
+        }
+      },
+      p.blocks.size(),
+      [&](std::size_t i) { return grid_.block_coord(p.blocks[i])[0]; }, decode,
+      rebuild);
   return finish_stats(before, p.blocks);
 }
 

@@ -103,11 +103,13 @@ class ProgressiveReader {
   ///
   /// Blocks decode and reconstruct in parallel, and data() is the same for
   /// any thread count.  The first execute() allocates the field behind
-  /// data() on the calling thread.  For a field buffer of 32 MiB or more it
-  /// overlaps that fill with the block decode: the calling thread
-  /// value-initializes the field while the rest of the OpenMP team decodes
-  /// each planned block's base and planes, and then every planned block
-  /// reconstructs.  Every later execute() decodes each block's new planes
+  /// data() on the calling thread.  For a field buffer of 32 MiB or more in
+  /// more than one block it runs a slab pipeline, a slab being one row of
+  /// blocks along dimension 0: the calling thread value-initializes the
+  /// field slab by slab, while the rest of the OpenMP team first-touches the
+  /// pages of slabs the caller has not reached, decodes each planned block's
+  /// base and planes, and reconstructs each planned block as soon as its
+  /// slab is filled.  Every later execute() decodes each block's new planes
   /// and rebuilds that block from its accumulated codes; blocks that
   /// received nothing keep their values.
   RetrievalStats execute(const RetrievalPlan& plan);

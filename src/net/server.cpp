@@ -123,6 +123,8 @@ void Server::stop(int grace_ms) {
   // stopping_ load: either the handler sees the flag before it blocks in
   // recv, or the pass below sees it waiting and shuts its socket.
   stopping_.store(true);
+  // Acceptors idle in poll see the flag now, not at their next timeout.
+  listener_->wake();
   // Handlers waiting for their next frame hold no reply: shutting their
   // sockets pops them out of recv at once.
   shutdown_connections(/*waiting_only=*/true);

@@ -211,6 +211,12 @@ Listener::Listener(const std::string& spec, int backlog)
   if (flags < 0 || ::fcntl(fd_.fd(), F_SETFL, flags | O_NONBLOCK) != 0) {
     throw_errno(WireError::Kind::kIo, "fcntl O_NONBLOCK " + spec);
   }
+  int pipe_fds[2];
+  if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0) {
+    throw_errno(WireError::Kind::kIo, "pipe2");
+  }
+  wake_rd_ = Socket(pipe_fds[0]);
+  wake_wr_ = Socket(pipe_fds[1]);
   if (!addr_.unix_domain) {
     sockaddr_in bound{};
     socklen_t len = sizeof bound;
@@ -233,15 +239,18 @@ void Listener::close() {
 }
 
 std::optional<Socket> Listener::accept(int timeout_ms) {
-  pollfd pfd{};
-  pfd.fd = fd_.fd();
-  pfd.events = POLLIN;
-  const int n = ::poll(&pfd, 1, timeout_ms);
+  pollfd pfd[2]{};
+  pfd[0].fd = fd_.fd();
+  pfd[0].events = POLLIN;
+  pfd[1].fd = wake_rd_.fd();
+  pfd[1].events = POLLIN;
+  const int n = ::poll(pfd, 2, timeout_ms);
   if (n == 0) return std::nullopt;
   if (n < 0) {
     if (errno == EINTR) return std::nullopt;
     throw_errno(WireError::Kind::kIo, "poll");
   }
+  if (pfd[1].revents != 0) return std::nullopt;  // woken
   Socket s(::accept(fd_.fd(), nullptr, nullptr));
   if (!s.valid()) {
     // The listener is non-blocking, so losing the accept race to another
@@ -256,6 +265,15 @@ std::optional<Socket> Listener::accept(int timeout_ms) {
   }
   if (!addr_.unix_domain) set_nodelay(s);
   return s;
+}
+
+void Listener::wake() {
+  const std::uint8_t byte = 1;
+  // EAGAIN means the pipe is already full, hence already readable.
+  ssize_t rc = 0;
+  do {
+    rc = ::write(wake_wr_.fd(), &byte, 1);
+  } while (rc < 0 && errno == EINTR);
 }
 
 std::string Listener::address() const {

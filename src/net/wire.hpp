@@ -245,9 +245,14 @@ class Listener {
   Listener& operator=(const Listener&) = delete;
 
   /// Accept one connection, waiting at most `timeout_ms`; std::nullopt on
-  /// timeout (acceptor loops poll their stop flag between waits).  Accepted
-  /// TCP connections get TCP_NODELAY.
+  /// timeout or once wake() ran (acceptor loops poll their stop flag between
+  /// waits).  Accepted TCP connections get TCP_NODELAY.
   std::optional<Socket> accept(int timeout_ms);
+
+  /// Ends every accept() wait now and makes every later one return at once:
+  /// a stopping server wakes its acceptors instead of waiting out their poll
+  /// timeouts.  Safe to call beside accept() on other threads.
+  void wake();
 
   /// The dialable address — for TCP with port 0 this reports the port the
   /// kernel actually bound.
@@ -257,6 +262,9 @@ class Listener {
 
  private:
   Socket fd_;
+  // Self-pipe polled beside fd_: wake() writes one byte that is never read,
+  // so the read end stays readable.
+  Socket wake_rd_, wake_wr_;
   Address addr_;
   std::uint16_t bound_port_ = 0;
 };

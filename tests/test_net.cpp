@@ -3,12 +3,12 @@
 // sequence from memory and from a file, refinement wire bytes equal to the
 // plan's predicted bytes_new, mixed region/eb/bytes traffic, quota
 // rejection over the wire, typed error mapping (an archive truncated in
-// place under the daemon included), a stop() that closes idle connections
-// at once and lets replies in flight finish, the deterministic
-// fault-injection suite (torn I/O, EINTR storms, bit-flipped frames,
-// connection resets — and the self-healing reconnect + re-FETCH path they
-// exercise) — and the multi-client stress the tsan preset runs against one
-// live daemon.
+// place under the daemon included), a stop() that returns at once with no
+// connection, closes idle connections at once and lets replies in flight
+// finish, the deterministic fault-injection suite (torn I/O, EINTR storms,
+// bit-flipped frames, connection resets — and the self-healing reconnect +
+// re-FETCH path they exercise) — and the multi-client stress the tsan preset
+// runs against one live daemon.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -191,6 +191,28 @@ TEST(Net, StopClosesIdleConnectionsAtOnce) {
   EXPECT_LT(std::chrono::steady_clock::now() - t0,
             std::chrono::milliseconds(500));
   EXPECT_FALSE(server.running());
+}
+
+// With no connection at all, stop() wakes its acceptors out of their poll
+// instead of waiting out the accept timeout, over TCP and a Unix socket.
+TEST(Net, StopWithNoConnectionIsPrompt) {
+  for (const std::string& listen :
+       {std::string("127.0.0.1:0"),
+        "unix:" + ::testing::TempDir() + "/ipc_net_stop.sock"}) {
+    net::ServerConfig cfg;
+    cfg.listen = listen;
+    cfg.workers = 4;
+    net::Server server(cfg);
+    server.start();
+    // Let every acceptor reach its poll.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto t0 = std::chrono::steady_clock::now();
+    server.stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::milliseconds(50))
+        << listen;
+    EXPECT_FALSE(server.running());
+  }
 }
 
 /// Holds every raw read until opened.

@@ -441,5 +441,62 @@ TEST(ProgressiveFirstExecute, ForgedPlaneBehindChecksumlessSourceThrows) {
   }
 }
 
+// 260x128x128 f64 (34 MB) in 32-blocks: nine slabs along dimension 0, the
+// last one 4 rows deep, so the slab pipeline fills a partial final slab.
+TEST(ProgressiveFirstExecute, PartialLastSlabThreadInvariant) {
+  auto field = smooth_field(Dims{260, 128, 128}, 16, /*noise=*/0.01);
+  ASSERT_GE(field.count() * sizeof(double), std::size_t{32} << 20);
+  Options opt;
+  opt.error_bound = 1e-6;
+  opt.block_side = 32;
+  const Bytes archive = compress(field.const_view(), opt);
+  // 3x2x2 blocks, reaching into the partial slab.
+  const Request region = Request::full().within({200, 10, 70}, {259, 50, 100});
+
+  // Reference from the path every later execute() takes: a coarse first
+  // read, then a full read that rebuilds every block over the filled field.
+  std::vector<double> stepwise;
+  {
+    MemorySource src{Bytes(archive)};
+    ProgressiveReader<double> reader(src);
+    reader.retrieve(Request::error_bound(1e3 * reader.compression_eb()));
+    reader.retrieve(Request::full());
+    stepwise = reader.data();
+  }
+  for (int threads : kFillThreads) {
+    testutil::ScopedThreads scoped(threads);
+    MemorySource full_src{Bytes(archive)};
+    ProgressiveReader<double> full(full_src);
+    full.retrieve(Request::full());
+    EXPECT_TRUE(bitwise_equal(full.data(), stepwise)) << threads;
+
+    MemorySource region_src{Bytes(archive)};
+    ProgressiveReader<double> part(region_src);
+    const RetrievalPlan plan = part.plan(region);
+    ASSERT_EQ(plan.blocks.size(), 12u);
+    part.execute(plan);
+    const BlockGrid& grid = part.block_grid();
+    ASSERT_EQ(grid.grid[0], 9u);
+    std::vector<bool> planned(grid.n_blocks, false);
+    for (std::uint32_t b : plan.blocks) planned[b] = true;
+    const Dims dims = part.header().dims;
+    const std::size_t side = grid.block_side;
+    ASSERT_EQ(part.data().size(), dims.count());
+    for (std::size_t z = 0, i = 0; z < dims[0]; ++z) {
+      for (std::size_t y = 0; y < dims[1]; ++y) {
+        for (std::size_t x = 0; x < dims[2]; ++x, ++i) {
+          const std::size_t b =
+              ((z / side) * grid.grid[1] + y / side) * grid.grid[2] + x / side;
+          const double want = planned[b] ? stepwise[i] : 0.0;
+          if (std::memcmp(&part.data()[i], &want, sizeof(double)) != 0) {
+            FAIL() << threads << " threads: element " << i << " of block "
+                   << b;
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ipcomp
