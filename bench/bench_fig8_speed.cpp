@@ -19,7 +19,9 @@
 //   --repeat N         repetitions, median-of-N (CI passes --repeat 3;
 //                      IPCOMP_BENCH_REPS is the fallback default)
 // Stage timings are the median of N runs so BENCH_ci.json numbers are stable
-// enough to compare across commits.  Run with OMP_NUM_THREADS=4 to reproduce
+// enough to compare across commits.  decompress_block, region_first_read and
+// refine also report `minor_faults`, the median getrusage ru_minflt delta of
+// the same timed window.  Run with OMP_NUM_THREADS=4 to reproduce
 // the >=2x speedup claim.
 #include <benchmark/benchmark.h>
 
@@ -28,6 +30,8 @@
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench_common.hpp"
 #include "bitplane/bitplane.hpp"
@@ -109,6 +113,31 @@ NdArray<double> synthetic_cube(std::size_t side) {
 struct StageResult {
   double seconds = 0.0;
   double mb_per_s = 0.0;
+  long minor_faults = 0;  // median ru_minflt delta over the timed window
+};
+
+/// Minor (no-I/O) page faults of this process so far, every thread included.
+long minor_faults_now() {
+  rusage u{};
+  getrusage(RUSAGE_SELF, &u);
+  return u.ru_minflt;
+}
+
+/// Wall time and minor page faults of one timed window, opened at
+/// construction.
+class Window {
+ public:
+  struct Sample {
+    double seconds;
+    long minor_faults;
+  };
+  Sample close() const {
+    return {timer_.seconds(), minor_faults_now() - faults_};
+  }
+
+ private:
+  long faults_ = minor_faults_now();
+  Timer timer_;
 };
 
 /// Fetch-efficiency record of one FileSource-backed progressive sweep
@@ -142,24 +171,32 @@ FetchStats fetch_sweep(const Bytes& archive, const char* path) {
   return fs;
 }
 
-/// Median of `reps` runs of `run`, which returns the seconds it timed.
+/// Median of `reps` runs of `run`, which returns the Window::Sample it timed
+/// (seconds and minor faults take their medians independently).
 template <typename Run>
 StageResult median_timed(int reps, std::size_t raw_bytes, Run&& run) {
   std::vector<double> t(static_cast<std::size_t>(reps));
-  for (auto& s : t) s = run();
+  std::vector<long> faults(t.size());
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const Window::Sample s = run();
+    t[i] = s.seconds;
+    faults[i] = s.minor_faults;
+  }
   std::sort(t.begin(), t.end());
+  std::sort(faults.begin(), faults.end());
   StageResult r;
   r.seconds = t[t.size() / 2];
   r.mb_per_s = mb_per_s(raw_bytes, r.seconds);
+  r.minor_faults = faults[faults.size() / 2];
   return r;
 }
 
 template <typename Fn>
 StageResult median_of(int reps, std::size_t raw_bytes, Fn&& fn) {
   return median_timed(reps, raw_bytes, [&] {
-    Timer timer;
+    const Window window;
     fn();
-    return timer.seconds();
+    return window.close();
   });
 }
 
@@ -174,13 +211,13 @@ StageResult refine_stage(int reps, std::size_t raw_bytes, const Bytes& archive,
     ProgressiveReader<double> reader(src);
     const double eb = reader.compression_eb();
     reader.retrieve(Request::error_bound(1e3 * eb));
-    Timer timer;
+    const Window window;
     reader.retrieve(Request::error_bound(1e2 * eb));
     reader.retrieve(Request::error_bound(8 * eb));
     reader.retrieve(Request::full());
-    const double seconds = timer.seconds();
+    const Window::Sample sample = window.close();
     sink += reader.data()[0];
-    return seconds;
+    return sample;
   });
 }
 
@@ -510,6 +547,10 @@ int block_compare(const char* json_path, int reps) {
               refine.mb_per_s);
   std::printf("%-20s %12.3f %12.1f\n", "decompress wavelet", d_wavelet.seconds,
               d_wavelet.mb_per_s);
+  std::printf("\nminor faults: decompress block %ld, region first read %ld,"
+              " refine block %ld\n",
+              d_block.minor_faults, region_first.minor_faults,
+              refine.minor_faults);
   std::printf("\nratio: legacy %.2f, block %.2f, wavelet %.2f\n", ratio_legacy,
               ratio_block, ratio_wavelet);
   std::printf("speedup at %d threads: compress %.2fx, decompress %.2fx\n",
@@ -565,10 +606,13 @@ int block_compare(const char* json_path, int reps) {
                  "    \"compress_block\": {\"seconds\": %.6f, \"mb_per_s\": %.2f},\n"
                  "    \"bound_scan\": {\"seconds\": %.6f, \"mb_per_s\": %.2f},\n"
                  "    \"decompress_legacy\": {\"seconds\": %.6f, \"mb_per_s\": %.2f},\n"
-                 "    \"decompress_block\": {\"seconds\": %.6f, \"mb_per_s\": %.2f},\n"
+                 "    \"decompress_block\": {\"seconds\": %.6f, \"mb_per_s\": %.2f,"
+                 " \"minor_faults\": %ld},\n"
                  "    \"field_fill\": {\"seconds\": %.6f, \"mb_per_s\": %.2f},\n"
-                 "    \"region_first_read\": {\"seconds\": %.6f, \"mb_per_s\": %.2f},\n"
-                 "    \"refine\": {\"seconds\": %.6f, \"mb_per_s\": %.2f}\n"
+                 "    \"region_first_read\": {\"seconds\": %.6f, \"mb_per_s\": %.2f,"
+                 " \"minor_faults\": %ld},\n"
+                 "    \"refine\": {\"seconds\": %.6f, \"mb_per_s\": %.2f,"
+                 " \"minor_faults\": %ld}\n"
                  "  },\n"
                  "  \"compression_ratio\": {\"legacy\": %.4f, \"block\": %.4f},\n"
                  "  \"speedup\": {\"compress\": %.4f, \"decompress\": %.4f},\n"
@@ -615,9 +659,11 @@ int block_compare(const char* json_path, int reps) {
                  c_legacy.seconds, c_legacy.mb_per_s, c_block.seconds,
                  c_block.mb_per_s, scan.seconds, scan.mb_per_s,
                  d_legacy.seconds, d_legacy.mb_per_s,
-                 d_block.seconds, d_block.mb_per_s, fill.seconds, fill.mb_per_s,
+                 d_block.seconds, d_block.mb_per_s, d_block.minor_faults,
+                 fill.seconds, fill.mb_per_s,
                  region_first.seconds, region_first.mb_per_s,
-                 refine.seconds, refine.mb_per_s, ratio_legacy, ratio_block,
+                 region_first.minor_faults, refine.seconds, refine.mb_per_s,
+                 refine.minor_faults, ratio_legacy, ratio_block,
                  speedup_c, speedup_d,
                  cc.segments, cc.raw_bytes, cc.method_counts[0],
                  cc.method_counts[1], cc.method_counts[2], cc.method_counts[3],

@@ -8,6 +8,7 @@
 #include "bitplane/bitplane.hpp"
 #include "bitplane/predictive.hpp"
 #include "coding/codec.hpp"
+#include "util/huge_pages.hpp"
 #include "util/parallel.hpp"
 
 namespace ipcomp {
@@ -18,15 +19,15 @@ void bitmap_set(Bytes& bm, std::size_t i) {
   bm[i >> 3] |= static_cast<std::uint8_t>(1u << (i & 7));
 }
 
-/// A fresh reader's first execute() fills its output field slab by slab
-/// beside the block decode when the field buffer is at least this large.
-/// 32 MiB is glibc's 64-bit mmap threshold ceiling: buffers this size always
-/// come as fresh kernel pages, so a value-initializing fill is a serial
-/// first-touch page-fault cost (about 45 ms of a 100 ms one-shot read of a 134 MB f64
-/// field at 4 threads) and the buffer returns to the OS on free.  Below it
-/// the fill costs a few ms, and overlapping raised peak RSS 15-38% on the
-/// serve-tcp benchmark's 16.7 MB client fields through malloc arena
-/// retention (RSS was identical under MALLOC_ARENA_MAX=1).
+/// A fresh reader's first execute() hints transparent huge pages over a field
+/// buffer this large and, in more than one block, fills it slab by slab beside
+/// the block decode.  32 MiB is glibc's 64-bit mmap threshold ceiling: such a
+/// buffer is a fresh mapping, unmapped on free.  A 134 MB f64 field then takes
+/// 576 faults (63 huge pages, small ones at the unaligned ends), not 32,769;
+/// its serial fill still costs about 30 ms, which the pipeline hides.  Smaller
+/// buffers may come from malloc arena heaps, where a hint would leave huge
+/// pages behind, and overlapping their fill raised serve-tcp's peak RSS 15-38%
+/// through arena retention, so they keep the plain serial fill.
 constexpr std::size_t kOverlapFillBytes = std::size_t{32} << 20;
 
 /// Elements per 4 KiB, the smallest common page size: writing one element
@@ -446,13 +447,13 @@ RetrievalStats ProgressiveReader<T>::execute(const RetrievalPlan& p) {
   // A block is rebuilt from its codes on first touch and whenever it
   // received planes; the others keep their values.
   const std::size_t n = header_.dims.count();
-  const bool pipeline = xhat_.empty() && n * sizeof(T) >= kOverlapFillBytes &&
-                        grid_.n_blocks > 1;
-  if (pipeline) {
-    xhat_.reserve(n);  // no page touched yet; the slabs fill below
-  } else if (xhat_.empty()) {
-    xhat_.assign(n, T{});
+  const bool large = xhat_.empty() && n * sizeof(T) >= kOverlapFillBytes;
+  if (large) {
+    xhat_.reserve(n);  // no page touched yet: hint before the first fault
+    advise_huge_pages(xhat_.data(), n * sizeof(T));
   }
+  const bool pipeline = large && grid_.n_blocks > 1;
+  if (!pipeline && xhat_.empty()) xhat_.assign(n, T{});
   // Taken once: the pipeline's caller grows xhat_ while blocks rebuild, and
   // the reserved storage never moves.
   T* const out = xhat_.data();

@@ -103,15 +103,16 @@ class ProgressiveReader {
   ///
   /// Blocks decode and reconstruct in parallel, and data() is the same for
   /// any thread count.  The first execute() allocates the field behind
-  /// data() on the calling thread.  For a field buffer of 32 MiB or more in
-  /// more than one block it runs a slab pipeline, a slab being one row of
-  /// blocks along dimension 0: the calling thread value-initializes the
-  /// field slab by slab, while the rest of the OpenMP team first-touches the
-  /// pages of slabs the caller has not reached, decodes each planned block's
-  /// base and planes, and reconstructs each planned block as soon as its
-  /// slab is filled.  Every later execute() decodes each block's new planes
-  /// and rebuilds that block from its accumulated codes; blocks that
-  /// received nothing keep their values.
+  /// data() on the calling thread.  A buffer of 32 MiB or more is reserved
+  /// and hinted for transparent huge pages before any page is touched (a
+  /// no-op when THP is `never`); smaller ones may sit in malloc arena heaps
+  /// and are not hinted.  In more than one block such a buffer is filled by
+  /// a slab pipeline (a slab is one row of blocks along dimension 0): the
+  /// caller value-initializes it slab by slab while the rest of the OpenMP
+  /// team pre-touches slabs ahead of it, decodes every planned block and
+  /// rebuilds each as soon as its slab is filled.  Every later execute()
+  /// decodes each block's new planes and rebuilds that block from its
+  /// accumulated codes; blocks that received nothing keep their values.
   RetrievalStats execute(const RetrievalPlan& plan);
 
   /// One-call retrieval: execute(plan(req)).  The Request factories cover

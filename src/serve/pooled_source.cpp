@@ -116,6 +116,9 @@ void PooledSource::worker_loop() {
           b->error = error;
           b->done = true;
         }
+        // Drop this copy under mu_, so the last reference dies on a caller,
+        // ordered after this thread by the hand-off through mu_.
+        error = nullptr;
       } else if (merged.size() == total) {
         // No overlap: hand each payload to its sole requester by move.
         std::size_t off = 0;

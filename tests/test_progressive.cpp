@@ -441,6 +441,35 @@ TEST(ProgressiveFirstExecute, ForgedPlaneBehindChecksumlessSourceThrows) {
   }
 }
 
+// 2048x2048 f64 compressed whole is one 32 MiB block: the first execute()
+// reserves the field, hints huge pages over it and fills it in one assign
+// (no slab pipeline) before the block rebuilds in parallel.
+TEST(ProgressiveFirstExecute, OneBlockFieldThreadInvariant) {
+  auto field = smooth_field(Dims{2048, 2048}, 17, /*noise=*/0.01);
+  ASSERT_EQ(field.count() * sizeof(double), std::size_t{32} << 20);
+  Options opt;
+  opt.error_bound = 1e-6;
+  opt.block_side = 0;
+  const Bytes archive = compress(field.const_view(), opt);
+
+  std::vector<double> stepwise;
+  {
+    MemorySource src{Bytes(archive)};
+    ProgressiveReader<double> reader(src);
+    ASSERT_EQ(reader.block_grid().n_blocks, 1u);
+    reader.retrieve(Request::error_bound(1e3 * reader.compression_eb()));
+    reader.retrieve(Request::full());
+    stepwise = reader.data();
+  }
+  for (int threads : kFillThreads) {
+    testutil::ScopedThreads scoped(threads);
+    MemorySource src{Bytes(archive)};
+    ProgressiveReader<double> reader(src);
+    reader.retrieve(Request::full());
+    EXPECT_TRUE(bitwise_equal(reader.data(), stepwise)) << threads;
+  }
+}
+
 // 260x128x128 f64 (34 MB) in 32-blocks: nine slabs along dimension 0, the
 // last one 4 rows deep, so the slab pipeline fills a partial final slab.
 TEST(ProgressiveFirstExecute, PartialLastSlabThreadInvariant) {
