@@ -21,6 +21,7 @@
 #include "bitplane/negabinary.hpp"
 #include "bitplane/predictive.hpp"
 #include "bitplane/transpose.hpp"
+#include "mgard/predictive_encode.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 

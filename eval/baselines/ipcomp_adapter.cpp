@@ -4,12 +4,12 @@
 
 #include "baselines/multi_fidelity.hpp"
 #include "baselines/residual.hpp"
+#include "baselines/sperr.hpp"
 #include "baselines/sz3.hpp"
 #include "core/compressor.hpp"
 #include "core/progressive_reader.hpp"
 #include "mgard/mgard.hpp"
 #include "transform/zfp.hpp"
-#include "wavelet/sperr.hpp"
 
 namespace ipcomp {
 

@@ -1,4 +1,4 @@
-#include "wavelet/sperr.hpp"
+#include "baselines/sperr.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -6,13 +6,13 @@
 
 #include "bitplane/bitplane.hpp"
 #include "bitplane/negabinary.hpp"
-#include "bitplane/predictive.hpp"
 #include "coding/codec.hpp"
 #include "core/backend.hpp"
 #include "core/header.hpp"  // kSegPlane segment kind
 #include "interp/sweep.hpp"
 #include "io/archive.hpp"
 #include "loader/optimizer.hpp"
+#include "mgard/predictive_encode.hpp"
 #include "util/parallel.hpp"
 
 namespace ipcomp {

@@ -33,12 +33,15 @@ failures=0
 fail() { echo "FAIL: $*" >&2; failures=$((failures + 1)); }
 note() { echo "  -- $*"; }
 
-# Tracked C++ sources; the lint and format sets are identical.
+# Tracked C++ sources; the lint and format sets are identical.  The library
+# rules cover the evaluation target (eval/) exactly as they cover src/.
 mapfile -t sources < <(git ls-files \
-  'src/**/*.hpp' 'src/**/*.cpp' 'src/*.hpp' \
+  'src/**/*.hpp' 'src/**/*.cpp' 'src/*.hpp' 'eval/**/*.hpp' 'eval/**/*.cpp' \
   'tests/*.cpp' 'tests/*.hpp' 'bench/*.cpp' 'bench/*.hpp' 'examples/*.cpp')
-mapfile -t headers < <(git ls-files 'src/**/*.hpp' 'src/*.hpp' 'tests/*.hpp' 'bench/*.hpp')
-mapfile -t src_files < <(git ls-files 'src/**/*.hpp' 'src/**/*.cpp' 'src/*.hpp')
+mapfile -t headers < <(git ls-files 'src/**/*.hpp' 'src/*.hpp' 'eval/**/*.hpp' \
+  'tests/*.hpp' 'bench/*.hpp')
+mapfile -t src_files < <(git ls-files 'src/**/*.hpp' 'src/**/*.cpp' 'src/*.hpp' \
+  'eval/**/*.hpp' 'eval/**/*.cpp')
 
 # ---- stage 1: custom lint ------------------------------------------------
 echo "[1/3] custom lint (${#src_files[@]} src files, ${#headers[@]} headers)"
@@ -171,7 +174,7 @@ if command -v clang-tidy > /dev/null 2>&1; then
   if [ -z "$build_dir" ] || [ ! -f "$build_dir/compile_commands.json" ]; then
     fail "clang-tidy installed but no compile_commands.json found (configure any preset first, e.g. cmake --preset release)"
   else
-    mapfile -t tidy_files < <(git ls-files 'src/**/*.cpp')
+    mapfile -t tidy_files < <(git ls-files 'src/**/*.cpp' 'eval/**/*.cpp')
     echo "[3/3] clang-tidy over ${#tidy_files[@]} translation units (db: $build_dir)"
     jobs="$(nproc 2> /dev/null || echo 2)"
     if command -v run-clang-tidy > /dev/null 2>&1; then

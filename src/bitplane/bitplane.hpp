@@ -88,9 +88,10 @@ struct LevelEncoding {
 /// instead of raw planes: plane k holds b_k ^ b_{k+1} ^ ... ^ b_{k+prefix}
 /// (bits above 31 are zero), XORed on the transposed tile words, so each
 /// plane is exactly predictive_encode_plane(codes, raw plane k, k,
-/// prefix_bits).  n_planes and the loss table never depend on prefix_bits.
-/// Results are bit-identical to plane count + truncation_loss_table +
-/// extract_all_planes (+ predictive_encode_plane) run separately.
+/// prefix_bits), the per-plane reference in eval/mgard/predictive_encode.hpp.
+/// n_planes and the loss table never depend on prefix_bits.  Results are
+/// bit-identical to plane count + truncation_loss_table + extract_all_planes
+/// (+ predictive_encode_plane) run separately.
 LevelEncoding encode_level(const TransposeOps& ops,
                            std::span<const std::uint32_t> codes,
                            bool with_loss, unsigned prefix_bits = 0);

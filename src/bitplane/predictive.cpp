@@ -62,29 +62,4 @@ void predictive_decode_planes(std::span<const std::uint32_t> values,
   }
 }
 
-Bytes predictive_encode_plane(std::span<const std::uint32_t> values,
-                              std::span<const std::uint8_t> plane_k,
-                              unsigned k, unsigned prefix_bits) {
-  Bytes out(plane_k.size(), 0);
-  // Prediction = XOR of bits k+1 .. k+prefix of each value (planes above the
-  // MSB are zero).  Work directly on the integers to avoid materializing the
-  // prefix planes.
-  parallel_for(0, plane_k.size(), [&](std::size_t byte) {
-    const std::size_t base = byte * 8;
-    const std::size_t lim = std::min<std::size_t>(8, values.size() - base);
-    std::uint8_t pred = 0;
-    for (std::size_t j = 0; j < lim; ++j) {
-      std::uint32_t v = values[base + j];
-      std::uint32_t x = 0;
-      for (unsigned p = 1; p <= prefix_bits; ++p) {
-        unsigned bit = k + p;
-        if (bit < 32) x ^= (v >> bit) & 1u;
-      }
-      pred |= static_cast<std::uint8_t>(x << j);
-    }
-    out[byte] = plane_k[byte] ^ pred;
-  }, /*grain=*/1 << 14);
-  return out;
-}
-
 }  // namespace ipcomp

@@ -13,8 +13,6 @@
 #include <cstdint>
 #include <span>
 
-#include "io/bytes.hpp"
-
 namespace ipcomp {
 
 inline constexpr unsigned kDefaultPrefixBits = 2;
@@ -29,13 +27,6 @@ void predictive_transform(std::span<const std::uint8_t> plane_k,
                           std::span<const std::uint8_t>* prefix_planes,
                           unsigned prefix_count,
                           std::span<std::uint8_t> out);
-
-/// Convenience: transform plane `k` of `values` (packed) using the higher
-/// planes taken directly from `values`.  Used on the encode side where all
-/// planes exist as integers.
-Bytes predictive_encode_plane(std::span<const std::uint32_t> values,
-                              std::span<const std::uint8_t> plane_k,
-                              unsigned k, unsigned prefix_bits);
 
 /// One freshly fetched plane during batch decode: index and packed residual
 /// bits, decoded to true plane bits in place.

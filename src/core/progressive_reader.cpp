@@ -1,6 +1,8 @@
 #include "core/progressive_reader.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <tuple>
@@ -348,6 +350,16 @@ RetrievalPlan ProgressiveReader<T>::plan(const Request& req) const {
       }
     }
   }
+  // A NaN target would reach float-to-integer conversions in the planner,
+  // which are undefined for NaN and infinity.
+  if (const auto* eb = std::get_if<Request::ErrorBound>(&req.target);
+      eb && std::isnan(eb->target)) {
+    throw std::invalid_argument("plan: error bound target is NaN");
+  }
+  if (const auto* br = std::get_if<Request::Bitrate>(&req.target);
+      br && !std::isfinite(br->bits_per_value)) {
+    throw std::invalid_argument("plan: bitrate is not finite");
+  }
   // A request without a region is the region over every block.
   for (std::size_t b = 0; b < grid_.n_blocks; ++b) {
     if (!req.region || grid_.intersects(b, req.region->lo, req.region->hi)) {
@@ -379,10 +391,14 @@ RetrievalPlan ProgressiveReader<T>::plan(const Request& req) const {
       const double total_budget = br.bits_per_value *
                                   static_cast<double>(header_.dims.count()) /
                                   8.0;
-      const double already = static_cast<double>(src_.stats().bytes_read);
-      budget = total_budget > already
-                   ? static_cast<std::uint64_t>(total_budget - already)
-                   : 0;
+      const double rest =
+          total_budget - static_cast<double>(src_.stats().bytes_read);
+      // Saturate: a budget of 2^64 bytes or more is no budget at all.
+      if (rest >= 0x1p64) {
+        budget = std::numeric_limits<std::uint64_t>::max();
+      } else if (rest > 0.0) {
+        budget = static_cast<std::uint64_t>(rest);
+      }
     }
     const std::uint64_t remaining =
         budget > base_bytes ? budget - base_bytes : 0;

@@ -93,6 +93,9 @@ class ProgressiveReader {
   /// open cost), so it is free to call for admission control, prefetch
   /// scheduling, or dry-run inspection.  The returned plan's bytes_new and
   /// guaranteed_error predictions are exact for the execute() that follows.
+  /// Throws std::invalid_argument for bad region bounds, a NaN error bound
+  /// or a non-finite bitrate; a bitrate whose budget reaches 2^64 bytes
+  /// plans as unlimited.
   RetrievalPlan plan(const Request& req) const;
 
   /// Fetch the plan's segments — all of them through one bulk
@@ -128,7 +131,6 @@ class ProgressiveReader {
   const Header& header() const { return header_; }
   const ProgressiveBackend& backend() const { return *backend_; }
   const BlockGrid& block_grid() const { return grid_; }
-  std::size_t element_count() const { return header_.dims.count(); }
   std::size_t bytes_loaded() const { return src_.stats().bytes_read; }
   double compression_eb() const { return header_.eb; }
   /// Guaranteed L∞ error of data() over the whole field.

@@ -3,12 +3,12 @@
 #include "baselines/ipcomp_adapter.hpp"
 #include "baselines/multi_fidelity.hpp"
 #include "baselines/residual.hpp"
+#include "baselines/sperr.hpp"
 #include "baselines/sz3.hpp"
 #include "coding/lzh.hpp"
 #include "mgard/mgard.hpp"
 #include "test_util.hpp"
 #include "transform/zfp.hpp"
-#include "wavelet/sperr.hpp"
 
 namespace ipcomp {
 namespace {

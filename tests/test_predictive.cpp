@@ -4,6 +4,7 @@
 #include "bitplane/negabinary.hpp"
 #include "bitplane/predictive.hpp"
 #include "coding/entropy.hpp"
+#include "mgard/predictive_encode.hpp"
 #include "util/rng.hpp"
 
 namespace ipcomp {

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 
 #include "ipcomp.hpp"
@@ -212,6 +213,36 @@ TEST_P(RequestApi, BadRegionBoundsRejected) {
   hi = {40, 16, 0, 0};  // beyond the field
   EXPECT_THROW(reader.plan(Request::full().within(lo, hi)),
                std::invalid_argument);
+}
+
+// A NaN error bound or a non-finite bitrate has no meaning; the planner would
+// convert it to an integer, so plan() rejects it up front.
+TEST_P(RequestApi, NonFiniteTargetsRejected) {
+  auto field = smooth_field(Dims{32, 32}, 45);
+  Bytes archive = make_archive(field, 1e-6);
+  MemorySource src{Bytes(archive)};
+  ProgressiveReader<double> reader(src);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(reader.plan(Request::error_bound(nan)), std::invalid_argument);
+  EXPECT_THROW(reader.plan(Request::bitrate(nan)), std::invalid_argument);
+  EXPECT_THROW(reader.plan(Request::bitrate(inf)), std::invalid_argument);
+  EXPECT_THROW(reader.plan(Request::bitrate(-inf)), std::invalid_argument);
+}
+
+// A finite bitrate whose byte budget exceeds 2^64 saturates: it buys
+// everything, exactly as a full request does.
+TEST_P(RequestApi, OversizeBitrateSaturatesToFull) {
+  auto field = smooth_field(Dims{40, 40, 24}, 47, 0.05);
+  Bytes archive = make_archive(field, 1e-8);
+  MemorySource src{Bytes(archive)};
+  ProgressiveReader<double> reader(src);
+  const RetrievalPlan full = reader.plan(Request::full());
+  const RetrievalPlan huge = reader.plan(Request::bitrate(1e300));
+  EXPECT_EQ(huge.segments, full.segments);
+  EXPECT_EQ(huge.plane_targets, full.plane_targets);
+  EXPECT_EQ(huge.bytes_new, full.bytes_new);
+  EXPECT_EQ(huge.guaranteed_error, full.guaranteed_error);
 }
 
 // The open cost belongs to the first executed request — even across a mixed

@@ -13,6 +13,7 @@
 #include "bitplane/negabinary.hpp"
 #include "bitplane/predictive.hpp"
 #include "bitplane/transpose.hpp"
+#include "mgard/predictive_encode.hpp"
 #include "util/rng.hpp"
 
 namespace ipcomp {
